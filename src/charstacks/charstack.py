@@ -122,9 +122,12 @@ def _submultiset_sums_exact(eigenvalues, v):
 def is_generic(orbits):
     """Genericity of a tuple of orbits; returns (bool, witness or None).
 
-    Non-generic iff for some 1 <= v < n there are sub-multisets of size v
-    of each orbit's eigenvalue multiset whose combined angle sum is an
-    integer (i.e. the product of the restricted determinants is 1).
+    Generic iff the angles of all eigenvalues sum to an integer (the
+    determinants multiply to 1; otherwise the variety is empty), and for
+    no 1 <= v < n are there sub-multisets of size v of each orbit's
+    eigenvalue multiset whose combined angle sum is an integer (i.e. the
+    product of the restricted determinants is 1).  The witness names the
+    failing v, the chosen eigenvalues per orbit and their angle sum.
     """
     if not orbits:
         raise ValueError("at least one orbit required")
@@ -142,6 +145,10 @@ def is_generic(orbits):
         for s, choice in combined.items():
             if s.denominator == 1:
                 return False, {"v": v, "choices": choice, "sum": s}
+    total = sum(a * m for o in orbits for a, m in o.eigenvalues)
+    if total.denominator != 1:
+        return False, {"v": n, "choices": tuple(o.eigenvalues for o in orbits),
+                       "sum": total}
     return True, None
 
 

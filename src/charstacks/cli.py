@@ -7,29 +7,24 @@ Subcommands:
   verify-counterexample   run the r=2 central-orbit check; exit 1 if it fails
   count                   brute-force groupoid count over F_q vs the formula
 
-Exit codes: 0 success/verified, 1 verified-false, 2 usage error,
-3 resource cap exceeded.
+Exit codes: 0 success/verified, 1 verified-false, 2 usage error or an
+input outside the theory (e.g. `count` on a non-generic orbit, where the
+formula is not claimed), 3 resource cap exceeded.
 
-If CHARSTACKS_CACHE_DIR is set, the Macdonald polynomial table is restored
-from (and re-dumped to) <dir>/macdonald_table.txt around each invocation.
+Every invocation computes from scratch; no state persists between runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import charstack as cs
 from . import ffcount as fc
-from . import macdonald as md
 from . import partitions as pt
 from .hlvkernel import hlv_HH
-
-CACHE_ENV = "CHARSTACKS_CACHE_DIR"
-CACHE_FILE = "macdonald_table.txt"
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -41,28 +36,6 @@ def parse_multipartition(s):
     """'(2,1)|(1,1,1)' -> ((2,1),(1,1,1)); single alphabet needs no '|'."""
     mus = tuple(pt.parse_partition(part) for part in s.split("|"))
     return pt.check_multipartition(mus)
-
-
-def _cache_path():
-    d = os.environ.get(CACHE_ENV)
-    if not d:
-        return None
-    return os.path.join(d, CACHE_FILE)
-
-
-def _restore_cache():
-    path = _cache_path()
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            md.load_table(fh.read())
-
-
-def _save_cache():
-    path = _cache_path()
-    if path:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(md.dump_table())
 
 
 def _emit(fmt, payload_json, payload_text, payload_latex):
@@ -144,6 +117,12 @@ def cmd_count(args):
     if args.nonorientable == args.orientable:
         raise ValueError("exactly one of --nonorientable/--orientable required")
     orbit = fc.FqOrbit.central(args.zeta, args.n, args.q)
+    generic, witness = cs.is_generic([orbit.as_angles(args.q)])
+    if not generic:
+        raise ValueError(
+            f"the orbit {args.zeta}*I_{args.n} over F_{args.q} is not generic "
+            f"(witness: v = {witness['v']}, angle sum {witness['sum']}), "
+            "so no formula is claimed for it")
     if args.nonorientable:
         if args.r is None:
             raise ValueError("--nonorientable requires --r")
@@ -221,10 +200,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        _restore_cache()
-        code = args.run(args)
-        _save_cache()
-        return code
+        return args.run(args)
     except fc.EnumerationTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import charstack as cs
+
 MAX_PRIME = 13
 DEFAULT_COST_CAP = 10**9
 
@@ -179,32 +181,27 @@ class FqOrbit:
             out.add(mat_mul(mat_mul(g, rep, q), mat_inv(g, q), q))
         return out
 
+    def as_angles(self, q):
+        """The same orbit as an OrbitSpec: g^k maps to the angle k/(q-1),
+        for a generator g of F_q^x, so that a product of eigenvalues is 1
+        exactly when the sum of their angles is an integer."""
+        log = _discrete_log(q)
+        return cs.OrbitSpec.make([(Fraction(log[v], q - 1), m)
+                                  for v, m in self.eigenvalues])
+
     def is_generic_with(self, others, q):
-        """Finite-field variant of the genericity test: no choice of
-        sub-multisets of common size v in 1..n-1 has total product 1."""
-        orbits = [self] + list(others)
-        n = self.n
-        for v in range(1, n):
-            per = []
-            for o in orbits:
-                dp = {0: {1}}
-                for val, mult in o.eigenvalues:
-                    nxt = {c: set(s) for c, s in dp.items()}
-                    for take in range(1, mult + 1):
-                        for c, s in dp.items():
-                            if c + take > v:
-                                continue
-                            tgt = nxt.setdefault(c + take, set())
-                            for prod in s:
-                                tgt.add((prod * pow(val, take, q)) % q)
-                    dp = nxt
-                per.append(dp.get(v, set()))
-            combined = {1}
-            for s in per:
-                combined = {(a * b) % q for a in combined for b in s}
-            if 1 in combined:
-                return False
-        return True
+        """Finite-field genericity of (self, *others): charstack.is_generic
+        on their angles."""
+        return cs.is_generic([o.as_angles(q) for o in (self, *others)])[0]
+
+
+def _discrete_log(q):
+    """Map x -> k with x = g^k mod q, for the least generator g of F_q^x."""
+    for g in range(1, q):
+        log = {pow(g, k, q): k for k in range(q - 1)}
+        if len(log) == q - 1:
+            return log
+    raise ValueError(f"q must be prime: {q}")
 
 
 # -- counting --------------------------------------------------------------------

@@ -1,34 +1,40 @@
 """Modified Macdonald symmetric polynomials in one alphabet.
 
-Route: Gram-Schmidt against dominance-ordered monomials under the
-(q,t)-deformed Hall form gives the monic polynomials P_mu; multiplying by
-the arm/leg product gives the integral form J_mu; the plethystic transform
-p_r -> p_r/(1 - t^r) followed by t -> 1/t and the t^{n(mu)} normalization
-gives the modified polynomials, whose coefficients are honest polynomials
-in q and t.  Every step carries a checkable certificate (orthogonality,
-Schur positivity), which is why this route was chosen over solving the
-triangularity axioms directly.
+H~_mu is built directly from the Haglund-Haiman-Loehr formula (A
+combinatorial formula for Macdonald polynomials, JAMS 18, 2005):
 
-The orthogonalization runs in the power-sum basis, where the form is
-diagonal; coefficients are gcd-reduced after every elimination step to
-keep the rational-function swell at desk scale (n <= 6).
+    H~_mu = sum over fillings sigma of mu of q^inv(sigma) t^maj(sigma) x^sigma.
 
-All entries are cached per partition; concurrent refills are idempotent
-because every construction is deterministic.
+H~_mu is symmetric, so its m_lam coefficient is the sum over the distinct
+fillings with content lam (lam_1 ones, lam_2 twos, ...): an integer
+polynomial in q and t, with no rational-function arithmetic and no gcd.
+Conventions, in the French diagram (row 1, of length mu_1, at the bottom):
+
+  * reading order: the top row first, then downwards, left to right
+    within each row;
+  * cells u and v attack if they share a row, or if u lies in the row just
+    above v and strictly to its right; an inversion is an attacking pair
+    whose earlier cell in reading order holds the larger entry;
+  * u is a descent if its entry exceeds that of the cell directly below;
+  * maj = sum over descents u of leg(u) + 1, and
+    inv = #inversions - sum over descents u of arm(u).
+
+The monic P_mu is derived from H~_mu by inverting the plethystic transform
+H~_mu = t^{n(mu)} J_mu[X/(1-t)](q, 1/t), J_mu = prod_s (1 - q^a t^{l+1}) P_mu,
+in the power-sum basis.  Nothing in either construction uses the (q,t)
+Hall form, so orthogonality of the P_mu under it is an independent
+certificate of H~_mu, next to Schur positivity and q<->t symmetry.
 """
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import RatFunc, ONE, Q, T, Z, W
+from .exactalg import MPoly, RatFunc, ONE, Q, T, Z, W, NVARS, VAR_INDEX
 from . import partitions as pt
-from .symfunc import SymFunc, m_to_basis_table
-
-# caches: partition -> dict p-partition -> RatFunc (P), and SymFunc (H)
-_P_CACHE = {}
-_NORM_CACHE = {}
-_H_CACHE = {}
+from .symfunc import SymFunc, basis_to_m
 
 
 @lru_cache(maxsize=None)
@@ -62,91 +68,76 @@ def qt_inner(f, g):
     return _p_inner(fp, gp)
 
 
-def _macdonald_P_pvec(mu):
-    """P_mu as a dict p-partition -> RatFunc (simplified)."""
-    mu = pt.check_partition(mu)
-    if mu in _P_CACHE:
-        return _P_CACHE[mu]
-    n = sum(mu)
-    if n == 0:
-        _P_CACHE[mu] = {(): ONE}
-        return _P_CACHE[mu]
-    # Gram-Schmidt from the dominance-lowest partition upward; reverse
-    # lexicographic enumeration is a linear extension of dominance.
-    order = tuple(reversed(pt.enumerate_partitions(n)))
-    table = m_to_basis_table("p", n)
-    for lam in order:
-        if lam in _P_CACHE:
-            continue
-        v = {key: RatFunc(c) for key, c in table[lam].items()}
-        for prev in order:
-            if prev == lam:
-                break
-            pv = _P_CACHE[prev]
-            c = (_p_inner(v, pv) / _NORM_CACHE[prev]).simplified()
-            if c.is_zero():
-                continue
-            for key, b in pv.items():
-                s = (v.get(key, RatFunc(0)) - c * b).simplified()
-                if s.is_zero():
-                    v.pop(key, None)
-                else:
-                    v[key] = s
-        _P_CACHE[lam] = v
-        _NORM_CACHE[lam] = _p_inner(v, v)
-        if lam == mu:
-            break
-    return _P_CACHE[mu]
+def _hhl_diagram(mu):
+    """The attacking pairs (earlier, later) and the descent checks
+    (upper, lower, leg + 1, arm) of mu, as indices into the reading order.
 
-
-def macdonald_P(mu):
-    """Monic Macdonald polynomial P_mu(x; q, t) as a SymFunc (m basis)."""
-    mu = pt.check_partition(mu)
-    n = max(sum(mu), 1)
-    v = _macdonald_P_pvec(mu)
-    return SymFunc.from_basis("p", {(lam,): c for lam, c in v.items()}, 1, n)
-
-
-def macdonald_norm(mu):
-    """<P_mu, P_mu>_{q,t}, a byproduct of the orthogonalization."""
-    _macdonald_P_pvec(mu)
-    return _NORM_CACHE[pt.check_partition(mu)]
+    Cells are partitions.cells pairs (i, j) with row i = 1 the longest, so
+    in the French diagram row i + 1 lies just above row i.
+    """
+    order = sorted(pt.cells(mu), key=lambda s: (-s[0], s[1]))
+    index = {s: k for k, s in enumerate(order)}
+    attacks = [(index[u], index[v]) for u in order for v in order
+               if index[u] < index[v]
+               and (u[0] == v[0] or (u[0] == v[0] + 1 and u[1] > v[1]))]
+    descents = [(index[u], index[(u[0] - 1, u[1])],
+                 pt.leg(mu, u) + 1, pt.arm(mu, u))
+                for u in order if u[0] > 1]
+    return attacks, descents
 
 
 def modified_H(mu):
-    """Modified Macdonald polynomial: t^{n(mu)} * (J_mu[X/(1-t)])(q, 1/t)."""
+    """Modified Macdonald polynomial H~_mu(x; q, t) as a SymFunc (m basis)."""
     mu = pt.check_partition(mu)
-    if mu in _H_CACHE:
-        return _H_CACHE[mu]
     n = sum(mu)
     if n == 0:
-        H = SymFunc.one(1, 1)
-        _H_CACHE[mu] = H
-        return H
-    # integral form scalar prod_{s in mu} (1 - q^{a(s)} t^{l(s)+1})
+        return SymFunc.one(1, 1)
+    attacks, descents = _hhl_diagram(mu)
+    qi, ti = VAR_INDEX["q"], VAR_INDEX["t"]
+    coeffs = {}
+    for lam in pt.enumerate_partitions(n):
+        terms = {}
+        letters = [i for i, part in enumerate(lam) for _ in range(part)]
+        for word in set(itertools.permutations(letters)):
+            inv = sum(word[a] > word[b] for a, b in attacks)
+            maj = 0
+            for u, below, leg1, arm in descents:
+                if word[u] > word[below]:
+                    maj += leg1
+                    inv -= arm
+            terms[inv, maj] = terms.get((inv, maj), 0) + 1
+        poly = {}
+        for (inv, maj), count in terms.items():
+            e = [0] * NVARS
+            e[qi], e[ti] = inv, maj
+            poly[tuple(e)] = Fraction(count)
+        coeffs[(lam,)] = RatFunc(MPoly(poly))
+    return SymFunc(1, n, coeffs)
+
+
+def macdonald_P(mu):
+    """Monic Macdonald polynomial P_mu(x; q, t) as a SymFunc (m basis).
+
+    In the p basis, c_P(rho) = t^{n(mu)} c_H(rho)(q, 1/t)
+    * prod_i (1 - t^{rho_i}) / prod_{s in mu} (1 - q^{a(s)} t^{l(s)+1}).
+    The m coefficients are gcd-reduced as they accumulate; unreduced, their
+    cross-multiplied denominators make every later use of P slow.
+    """
+    mu = pt.check_partition(mu)
     jscale = ONE
     for s in pt.cells(mu):
         jscale = jscale * (ONE - Q ** pt.arm(mu, s) * T ** (pt.leg(mu, s) + 1))
     tn = T ** pt.nstat(mu)
-    transformed = {}
-    for lam, c in _macdonald_P_pvec(mu).items():
-        c = c * jscale
-        for part in lam:
-            c = c / (ONE - T**part)
+    coeffs = {}
+    for (rho,), c in modified_H(mu).to_basis("p").items():
         c = c.substitute({"t": ONE / T}) * tn
-        transformed[(lam,)] = c.simplified()
-    H = SymFunc.from_basis("p", transformed, 1, n).simplified()
-    # certificate: every m-coefficient must clear its denominator
-    polys = {}
-    for key, c in H.coeffs.items():
-        p = c.as_mpoly()
-        if p is None:
-            raise ArithmeticError(
-                f"non-polynomial coefficient for {key} in modified H_{mu}")
-        polys[key] = RatFunc(p)
-    H = SymFunc(1, n, polys)
-    _H_CACHE[mu] = H
-    return H
+        for part in rho:
+            c = c * (ONE - T**part)
+        c = (c / jscale).simplified()
+        for lam, f in basis_to_m("p", rho).items():
+            prev = coeffs.get((lam,))
+            coeffs[(lam,)] = c * f if prev is None else (prev + c * f).simplified()
+    return SymFunc(1, max(sum(mu), 1), coeffs)
 
 
 def specialized_H(mu):
@@ -158,35 +149,3 @@ def specialized_H(mu):
 def schur_coefficients(mu):
     """Expansion of modified H_mu in the Schur basis: dict partition -> RatFunc."""
     return {key[0]: c for key, c in modified_H(mu).to_basis("s").items()}
-
-
-# -- table dump/restore -------------------------------------------------------
-
-def dump_table():
-    """Serialize all cached modified polynomials (golden-file format)."""
-    blocks = []
-    for mu in sorted(_H_CACHE):
-        body = _H_CACHE[mu].text()
-        blocks.append(f"[{pt.partition_text(mu)}]\n{body}")
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
-
-
-def load_table(text):
-    """Restore a dump produced by dump_table into the cache."""
-    loaded = 0
-    for block in text.split("\n\n"):
-        block = block.strip()
-        if not block:
-            continue
-        header, _, body = block.partition("\n")
-        mu = pt.parse_partition(header.strip()[1:-1])
-        n = sum(mu)
-        _H_CACHE[mu] = SymFunc.parse(body, 1, max(n, 1))
-        loaded += 1
-    return loaded
-
-
-def clear_caches():
-    _P_CACHE.clear()
-    _NORM_CACHE.clear()
-    _H_CACHE.clear()

@@ -25,6 +25,17 @@ def test_inverse_pair_not_generic():
     assert not ok and witness["v"] == 1
 
 
+def test_angle_sum_must_be_integral():
+    # a single eigenvalue e^(2 pi i/3): the determinant is not 1, so the
+    # variety is empty and the orbit is not generic
+    ok, witness = is_generic([OrbitSpec.central(Fraction(1, 3), 1)])
+    assert not ok and witness["v"] == 1 and witness["sum"] == Fraction(1, 3)
+    ok, witness = is_generic([OrbitSpec.central(Fraction(1, 6), 2)])
+    assert not ok and witness["v"] == 2
+    assert is_generic([OrbitSpec.central(Fraction(1, 3), 1),
+                       OrbitSpec.central(Fraction(2, 3), 1)])[0]
+
+
 def test_generic_central_family():
     # angle d/(2n) with d even and gcd(n, d/2) = 1
     for n in range(2, 7):
@@ -116,7 +127,7 @@ def test_half_integer_powers_reported():
 
 def test_report_json_schema():
     rep = eseries(nonorientable(2, 1), ((2,),),
-                  orbits=[OrbitSpec.central(Fraction(1, 4), 2)])
+                  orbits=[OrbitSpec.central(Fraction(1, 2), 2)])
     data = json.loads(rep.to_json())
     assert data["formula"] == "eseries-nonorientable"
     assert data["surface"]["kind"] == "nonorientable"

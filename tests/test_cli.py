@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -84,9 +83,22 @@ def test_count_n1(capsys):
 
 
 def test_count_resource_cap(capsys):
+    # 3 is a primitive cube root of unity mod 13, so the orbit is generic
     code, _, err = run(capsys, "count", "--nonorientable", "--r", "2",
-                       "--n", "3", "--q", "13", "--zeta", "-1")
+                       "--n", "3", "--q", "13", "--zeta", "3")
     assert code == 3 and "cap" in err
+
+
+def test_count_nongeneric_refused(capsys):
+    # -I_3 has determinant -1 and (-1)^2 = 1 on a 2-dim subspace: the
+    # formula is not claimed, so no verdict is given
+    code, out, err = run(capsys, "count", "--nonorientable", "--r", "2",
+                         "--n", "3", "--q", "3", "--zeta", "-1")
+    assert code == 2 and out == ""
+    assert "not generic" in err and "v = 2" in err
+    code, out, err = run(capsys, "count", "--orientable", "--g", "1",
+                         "--n", "2", "--q", "3", "--zeta", "1")
+    assert code == 2 and out == "" and "not generic" in err
 
 
 def test_json_deterministic(capsys):
@@ -102,16 +114,3 @@ def test_parse_multipartition():
     assert parse_multipartition("(2,1)|(1,1,1)") == ((2, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         parse_multipartition("(2)|(1)")
-
-
-def test_cache_dir_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHARSTACKS_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "eseries", "--nonorientable", "--r", "2",
-                       "--mu", "(2)", "--format", "text")
-    assert code == 0
-    cache = tmp_path / "macdonald_table.txt"
-    assert cache.exists() and "[(2)]" in cache.read_text()
-    # second run restores from the dump and agrees
-    code2, out2, _ = run(capsys, "eseries", "--nonorientable", "--r", "2",
-                         "--mu", "(2)", "--format", "text")
-    assert code2 == 0 and out2 == out

@@ -95,6 +95,14 @@ def test_genericity_finite_field():
     assert not o.is_generic_with([o], 5)
 
 
+def test_genericity_finite_field_determinant():
+    # over F_7, 2 has order 3: 2*I_1 has determinant 2 != 1, and 2*I_3 is
+    # generic (2^3 = 1, and 2, 4 != 1)
+    assert not fc.FqOrbit.central(2, 1, 7).is_generic_with([], 7)
+    assert fc.FqOrbit.central(2, 3, 7).is_generic_with([], 7)
+    assert not fc.FqOrbit.central(-1, 3, 7).is_generic_with([], 7)
+
+
 def test_cost_cap():
     orb = fc.FqOrbit.central(-1, 3, 13)
     with pytest.raises(fc.EnumerationTooLarge):

@@ -28,6 +28,10 @@ def test_modified_H_small():
     assert md.modified_H((1,)) == basis_element("s", ((1,),), 1, 1)
     assert md.modified_H((2,)) == s2 + s11.scale(Q)
     assert md.modified_H((1, 1)) == s2 + s11.scale(T)
+    s3 = basis_element("s", ((3,),), 1, 3)
+    s21 = basis_element("s", ((2, 1),), 1, 3)
+    s111 = basis_element("s", ((1, 1, 1),), 1, 3)
+    assert md.modified_H((2, 1)) == s3 + s21.scale(Q + T) + s111.scale(Q * T)
 
 
 def test_specialized_H():
@@ -76,6 +80,15 @@ def test_schur_positivity():
                 assert all(x >= 0 for x in e)
 
 
+def test_P_triangular():
+    # monic and dominance-triangular in the m basis
+    for mu in _all_partitions_to(5):
+        P = md.macdonald_P(mu)
+        assert P.coefficient((mu,)) == ONE
+        for (lam,) in P.coeffs:
+            assert pt.dominance_leq(lam, mu), (mu, lam)
+
+
 def test_P_orthogonality():
     for n in range(1, 6):
         parts = pt.enumerate_partitions(n)
@@ -87,16 +100,3 @@ def test_P_orthogonality():
 
 def test_empty_partition_is_one():
     assert md.modified_H(()) == SymFunc.one(1, 1)
-
-
-def test_dump_load_roundtrip():
-    md.modified_H((2, 1))
-    dump = md.dump_table()
-    assert "[(2,1)]" in dump
-    before = dict(md._H_CACHE)
-    md.clear_caches()
-    loaded = md.load_table(dump)
-    assert loaded == len(before)
-    for mu, f in before.items():
-        assert md._H_CACHE[mu] == f
-        assert md.modified_H(mu) == f
