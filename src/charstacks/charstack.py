@@ -228,61 +228,35 @@ def d_mu(surface, mus):
         p * p for mu in mus for p in mu)
 
 
-def _orbits_for(mus, orbits):
-    """Default generic verdict: if no orbits given, record None-generic info."""
-    if orbits is None:
-        return None
-    ok, _ = is_generic(orbits)
-    return ok
-
-
-def eseries(surface, mus, orbits=None):
-    """E-series: q^(d/2)/(q-1) * HH_{mu,m}(sqrt q, 1/sqrt q), via u = sqrt q."""
+def _series(kind, surface, mus, orbits, x, w):
+    """The report for x^d/(x^2-1) * HH_{mu,m}(x, w), rewritten in q."""
     mus = pt.check_multipartition(mus)
     d = d_mu(surface, mus)
     HH = hlv_HH(mus, surface.m)
-    spec = HH.substitute({"z": U, "w": ONE / U})
-    val = (U**d / (U * U - ONE)) * spec
+    val = (x**d / (x * x - ONE)) * HH.substitute({"z": x, "w": w})
     qval, even = u_to_q(val)
-    report = SeriesReport(
-        formula="eseries-" + surface.kind,
+    return SeriesReport(
+        formula=f"{kind}-{surface.kind}",
         surface=surface,
         mu=mus,
-        generic=_orbits_for(mus, orbits),
+        generic=None if orbits is None else is_generic(orbits)[0],
         value=qval,
-        polynomial_in_q_t=qval.simplified().den.is_monomial() if even else False,
+        polynomial_in_q_t=even and qval.simplified().den.is_monomial(),
         half_integer_powers=not even,
         d_mu=d,
         log=[f"HH_mu_m = {HH.text()}"],
     )
-    return report
+
+
+def eseries(surface, mus, orbits=None):
+    """E-series: q^(d/2)/(q-1) * HH_{mu,m}(sqrt q, 1/sqrt q), via u = sqrt q."""
+    return _series("eseries", surface, mus, orbits, U, ONE / U)
 
 
 def mixed_series(surface, mus, orbits=None):
     """Conjectural mixed series:
     (qt^2)^(d/2)/(qt^2-1) * HH_{mu,m}(t sqrt q, -1/sqrt q), via (qt^2)^(1/2) = t u."""
-    mus = pt.check_multipartition(mus)
-    d = d_mu(surface, mus)
-    HH = hlv_HH(mus, surface.m)
-    spec = HH.substitute({"z": T * U, "w": -(ONE / U)})
-    val = ((T * U) ** d / (U * U * T * T - ONE)) * spec
-    qval, even = u_to_q(val)
-    poly = False
-    if even:
-        red = qval.simplified()
-        poly = red.den.is_monomial()
-    report = SeriesReport(
-        formula="mixed-" + surface.kind,
-        surface=surface,
-        mu=mus,
-        generic=_orbits_for(mus, orbits),
-        value=qval,
-        polynomial_in_q_t=poly,
-        half_integer_powers=not even,
-        d_mu=d,
-        log=[f"HH_mu_m = {HH.text()}"],
-    )
-    return report
+    return _series("mixed", surface, mus, orbits, T * U, -(ONE / U))
 
 
 # -- the counterexample -------------------------------------------------------

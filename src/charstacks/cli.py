@@ -61,7 +61,7 @@ def _surface_from_args(args, k):
 
 def cmd_hlv(args):
     mus = parse_multipartition(args.mu)
-    HH = hlv_HH(mus, args.m).simplified()
+    HH = hlv_HH(mus, args.m)
     text = HH.text()
     out = json.dumps(
         {"mu": [list(m) for m in mus], "m": args.m, "HH": text},

@@ -436,8 +436,6 @@ class RatFunc:
         if q is not None:
             return q
         red = self.simplified()
-        if red.den.is_monomial():
-            return red.num.exact_div(red.den)
         return red.num.exact_div(red.den)
 
     def text(self):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactalg import RatFunc, ONE, Z, W
 from . import partitions as pt
@@ -55,19 +56,24 @@ def omega(cfg):
     for n in range(1, cfg.N + 1):
         for lam in pt.enumerate_partitions(n):
             hook = hook_H(cfg.m, lam).simplified()
-            mcoeffs = {key[0]: c for key, c in specialized_H(lam).coeffs.items()}
+            pcoeffs = {key[0]: c for key, c in specialized_H(lam).coeffs.items()}
             out = {}
-            for combo in itertools.product(mcoeffs.items(), repeat=cfg.k):
+            for combo in itertools.product(pcoeffs.items(), repeat=cfg.k):
                 key = tuple(mu for mu, _ in combo)
                 c = hook
                 for _, v in combo:
                     c = c * v
                 out[key] = out.get(key, RatFunc(0)) + c
-            total = total + SymFunc(cfg.k, cfg.N, out)
+            # reduce after each shape: unreduced, the hook denominators of
+            # one degree multiply up, and later gcds on them dominate
+            total = (total + SymFunc(cfg.k, cfg.N, out)).simplified()
     return total
 
 
-_HH_CACHE = {}
+@lru_cache(maxsize=None)
+def _log_omega(m, k, N):
+    """Plelog(Omega_m), shared by every multipartition it is paired with."""
+    return ple_log(omega(KernelConfig(m=m, k=k, N=N)))
 
 
 def hlv_HH(mus, m, N=None):
@@ -82,13 +88,6 @@ def hlv_HH(mus, m, N=None):
         N = max(n, 1)
     if N < n:
         raise ValueError("truncation bound below |mu|")
-    key = (mus, m, N)
-    if key in _HH_CACHE:
-        return _HH_CACHE[key]
-    om = omega(KernelConfig(m=m, k=len(mus), N=N))
-    logf = ple_log(om)
-    paired = hall_pair_h(logf, mus)
+    paired = hall_pair_h(_log_omega(m, len(mus), N), mus)
     # prefactor applied before any cleanup so the cancellation is exact
-    result = ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()
-    _HH_CACHE[key] = result
-    return result
+    return ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()

@@ -8,6 +8,7 @@ combinatorial formula for Macdonald polynomials, JAMS 18, 2005):
 H~_mu is symmetric, so its m_lam coefficient is the sum over the distinct
 fillings with content lam (lam_1 ones, lam_2 twos, ...): an integer
 polynomial in q and t, with no rational-function arithmetic and no gcd.
+SymFunc.from_basis turns these into the power-sum coefficients it stores.
 Conventions, in the French diagram (row 1, of length mu_1, at the bottom):
 
   * reading order: the top row first, then downwards, left to right
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 from .exactalg import MPoly, RatFunc, ONE, Q, T, Z, W, NVARS, VAR_INDEX
 from . import partitions as pt
-from .symfunc import SymFunc, basis_to_m
+from .symfunc import SymFunc
 
 
 @lru_cache(maxsize=None)
@@ -46,26 +47,19 @@ def _p_norm_factor(lam):
     return factor
 
 
-def _p_inner(v, w):
-    """Diagonal (q,t) form on p-coefficient dicts.
+def qt_inner(f, g):
+    """The (q,t) Hall form on single-alphabet SymFunc values.
 
     The running sum is gcd-reduced after every addition: the unreduced
     cross-multiplied numerators otherwise dominate the whole computation.
     """
     total = RatFunc(0)
-    for lam, a in v.items():
-        b = w.get(lam)
+    for (lam,), a in f.coeffs.items():
+        b = g.coeffs.get((lam,))
         if b is not None:
             term = (a * b * _p_norm_factor(lam)).simplified()
             total = (total + term).simplified()
     return total
-
-
-def qt_inner(f, g):
-    """The (q,t) Hall form on single-alphabet SymFunc values."""
-    fp = {key[0]: c for key, c in f.to_basis("p").items()}
-    gp = {key[0]: c for key, c in g.to_basis("p").items()}
-    return _p_inner(fp, gp)
 
 
 def _hhl_diagram(mu):
@@ -87,7 +81,7 @@ def _hhl_diagram(mu):
 
 
 def modified_H(mu):
-    """Modified Macdonald polynomial H~_mu(x; q, t) as a SymFunc (m basis)."""
+    """Modified Macdonald polynomial H~_mu(x; q, t) as a SymFunc."""
     mu = pt.check_partition(mu)
     n = sum(mu)
     if n == 0:
@@ -112,16 +106,14 @@ def modified_H(mu):
             e[qi], e[ti] = inv, maj
             poly[tuple(e)] = Fraction(count)
         coeffs[(lam,)] = RatFunc(MPoly(poly))
-    return SymFunc(1, n, coeffs)
+    return SymFunc.from_basis("m", coeffs, 1, n)
 
 
 def macdonald_P(mu):
-    """Monic Macdonald polynomial P_mu(x; q, t) as a SymFunc (m basis).
+    """Monic Macdonald polynomial P_mu(x; q, t) as a SymFunc.
 
     In the p basis, c_P(rho) = t^{n(mu)} c_H(rho)(q, 1/t)
     * prod_i (1 - t^{rho_i}) / prod_{s in mu} (1 - q^{a(s)} t^{l(s)+1}).
-    The m coefficients are gcd-reduced as they accumulate; unreduced, their
-    cross-multiplied denominators make every later use of P slow.
     """
     mu = pt.check_partition(mu)
     jscale = ONE
@@ -129,14 +121,11 @@ def macdonald_P(mu):
         jscale = jscale * (ONE - Q ** pt.arm(mu, s) * T ** (pt.leg(mu, s) + 1))
     tn = T ** pt.nstat(mu)
     coeffs = {}
-    for (rho,), c in modified_H(mu).to_basis("p").items():
+    for (rho,), c in modified_H(mu).coeffs.items():
         c = c.substitute({"t": ONE / T}) * tn
         for part in rho:
             c = c * (ONE - T**part)
-        c = (c / jscale).simplified()
-        for lam, f in basis_to_m("p", rho).items():
-            prev = coeffs.get((lam,))
-            coeffs[(lam,)] = c * f if prev is None else (prev + c * f).simplified()
+        coeffs[(rho,)] = (c / jscale).simplified()
     return SymFunc(1, max(sum(mu), 1), coeffs)
 
 

@@ -1,19 +1,25 @@
 """Truncated ring of functions symmetric in each of k alphabets.
 
-Elements are stored in the monomial basis: a sparse map from k-tuples of
-partitions (one per alphabet, each of size <= N) to RatFunc coefficients.
-A degree-n symmetric function is faithfully represented by its expansion
-in n concrete variables, which is how all transition tables between the
-m / p / h / e / s bases are computed (exact Fraction arithmetic, then
-per-degree matrix inversion for the m -> * directions).
+Elements are stored in the power-sum basis: a sparse map from k-tuples of
+partitions (one per alphabet, each of size <= N) to RatFunc coefficients,
+the key (lam_1, ..., lam_k) standing for p_lam_1(x_1) ... p_lam_k(x_k).
+In that basis a product merges partitions, one term per pair of keys, and
+the p_r plethysm multiplies every part by r and dilates the exponents of
+the coefficients.  Truncation drops any component whose degree in some
+alphabet exceeds N.
 
-Products and plethysm go through the power-sum basis where both are free;
-truncation drops any component whose degree in some alphabet exceeds N.
+The m, h, e and s bases are views.  `to_basis` and `from_basis` change
+basis alphabet by alphabet through the m basis: a degree-n symmetric
+function is faithfully represented by its expansion in n concrete
+variables, which gives every basis -> m table (exact Fraction arithmetic),
+and per-degree matrix inversion gives the m -> basis tables.  Coefficient
+lookup, the Hall pairing against h and the text form read the m view.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,11 +42,6 @@ def _poly_mul(d1, d2):
             else:
                 out.pop(e, None)
     return out
-
-
-def _m_vars(lam, nvars):
-    pad = lam + (0,) * (nvars - len(lam))
-    return {e: Fraction(1) for e in set(itertools.permutations(pad))}
 
 
 def _p_vars(r, nvars):
@@ -169,13 +170,34 @@ def m_to_basis_table(basis, n):
 
 
 @lru_cache(maxsize=None)
-def m_times_m(lam, mu):
-    """Single-alphabet product m_lam * m_mu in the m basis (integer coeffs)."""
-    n = sum(lam) + sum(mu)
-    if n == 0:
-        return {(): Fraction(1)}
-    poly = _poly_mul(_m_vars(lam, n), _m_vars(mu, n))
-    return _vars_to_m(poly)
+def _table(src, dst, lam):
+    """src_lam expanded in the dst basis, through the m basis."""
+    out = {}
+    for nu, a in basis_to_m(src, lam).items():
+        for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
+            out[mu] = out.get(mu, 0) + a * b
+    return {mu: c for mu, c in out.items() if c}
+
+
+def _transform(coeffs, src, dst):
+    """Per-alphabet linear change of basis of a dict key -> RatFunc.
+
+    Accumulated sums are gcd-reduced on the fly; adding rational
+    functions with unrelated denominators blows up otherwise.
+    """
+    out = {}
+    for key, c in coeffs.items():
+        tables = [_table(src, dst, mu) for mu in key]
+        for combo in itertools.product(*(d.items() for d in tables)):
+            newkey = tuple(mu for mu, _ in combo)
+            term = c * math.prod(f for _, f in combo)
+            prev = out.get(newkey)
+            s = term if prev is None else (prev + term).simplified()
+            if s.is_zero():
+                out.pop(newkey, None)
+            else:
+                out[newkey] = s
+    return out
 
 
 def _mobius(n):
@@ -195,7 +217,7 @@ def _mobius(n):
 # -- the SymFunc container ---------------------------------------------------
 
 class SymFunc:
-    """Element of the truncated ring, stored in the monomial basis."""
+    """Element of the truncated ring, stored in the power-sum basis."""
 
     __slots__ = ("k", "N", "coeffs")
 
@@ -227,7 +249,8 @@ class SymFunc:
         return self.coeffs.get(((),) * self.k, ZERO)
 
     def coefficient(self, key):
-        return self.coeffs.get(tuple(tuple(mu) for mu in key), ZERO)
+        """The m_key coefficient."""
+        return self.to_basis("m").get(tuple(tuple(mu) for mu in key), ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
@@ -272,23 +295,21 @@ class SymFunc:
             for k2, c2 in other.coeffs.items():
                 if any(sum(a) + sum(b) > self.N for a, b in zip(k1, k2)):
                     continue
-                c = c1 * c2
-                expansions = [m_times_m(a, b) for a, b in zip(k1, k2)]
-                for combo in itertools.product(*(d.items() for d in expansions)):
-                    key = tuple(mu for mu, _ in combo)
-                    mult = Fraction(1)
-                    for _, f in combo:
-                        mult *= f
-                    s = out.get(key, ZERO) + c * mult
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                key = tuple(tuple(sorted(a + b, reverse=True))
+                            for a, b in zip(k1, k2))
+                s = out.get(key, ZERO) + c1 * c2
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
         return SymFunc(self.k, self.N, out)
 
     __rmul__ = __mul__
 
     def map_coefficients(self, fn):
+        """Apply fn to every coefficient.  fn must commute with rational
+        linear combinations, as a substitution or an evaluation does, so
+        that the result does not depend on the basis the ring stores."""
         return SymFunc(self.k, self.N,
                        {key: fn(c) for key, c in self.coeffs.items()})
 
@@ -297,63 +318,23 @@ class SymFunc:
 
     # -- basis changes -------------------------------------------------------
 
-    def _transform(self, table_for):
-        """Per-alphabet linear basis change given partition -> table dicts.
-
-        Accumulated sums are gcd-reduced on the fly; adding rational
-        functions with unrelated denominators blows up otherwise.
-        """
-        out = {}
-        for key, c in self.coeffs.items():
-            tables = [table_for(mu) for mu in key]
-            for combo in itertools.product(*(d.items() for d in tables)):
-                newkey = tuple(mu for mu, _ in combo)
-                mult = Fraction(1)
-                for _, f in combo:
-                    mult *= f
-                prev = out.get(newkey)
-                s = c * mult if prev is None else (prev + c * mult).simplified()
-                if s.is_zero():
-                    out.pop(newkey, None)
-                else:
-                    out[newkey] = s
-        return out
-
     def to_basis(self, basis):
         """Coefficients of self in the given basis (dict key -> RatFunc)."""
-        if basis == "m":
-            return dict(self.coeffs)
-        return self._transform(lambda mu: m_to_basis_table(basis, sum(mu))[mu])
+        return _transform(self.coeffs, "p", basis)
 
     @staticmethod
     def from_basis(basis, coeffs, k, N):
         """Assemble from a dict key -> RatFunc of coefficients in `basis`."""
-        f = SymFunc(k, N)
-        out = {}
-        for key, c in coeffs.items():
-            if c.is_zero():
-                continue
-            tables = [basis_to_m(basis, mu) for mu in key]
-            for combo in itertools.product(*(d.items() for d in tables)):
-                newkey = tuple(mu for mu, _ in combo)
-                mult = Fraction(1)
-                for _, fr in combo:
-                    mult *= fr
-                s = out.get(newkey, ZERO) + c * mult
-                if s.is_zero():
-                    out.pop(newkey, None)
-                else:
-                    out[newkey] = s
-        f.coeffs = {key: c for key, c in out.items() if not c.is_zero()}
-        return f
+        return SymFunc(k, N, _transform(coeffs, basis, "p"))
 
-    # -- text form -------------------------------------------------------------
+    # -- text form (m basis) ---------------------------------------------------
 
     def text(self):
+        m = self.to_basis("m")
         lines = []
-        for key in sorted(self.coeffs):
+        for key in sorted(m):
             mus = "|".join(pt.partition_text(mu) for mu in key)
-            lines.append(f"{mus} : {self.coeffs[key].text()}")
+            lines.append(f"{mus} : {m[key].text()}")
         return "\n".join(lines)
 
     @staticmethod
@@ -366,14 +347,14 @@ class SymFunc:
             left, _, right = line.partition(" : ")
             key = tuple(pt.parse_partition(x) for x in left.split("|"))
             coeffs[key] = RatFunc.parse(right)
-        return SymFunc(k, N, coeffs)
+        return SymFunc.from_basis("m", coeffs, k, N)
 
     def __repr__(self):
         return f"SymFunc(k={self.k}, N={self.N},\n{self.text()})"
 
 
 def basis_element(basis, mus, k=None, N=None):
-    """The named basis element b_mu1(x_1) * ... * b_muk(x_k) in the m basis."""
+    """The named basis element b_mu1(x_1) * ... * b_muk(x_k)."""
     mus = tuple(tuple(mu) for mu in mus)
     if k is None:
         k = len(mus)
@@ -391,33 +372,19 @@ def hall_pair_h(f, mus):
     mus = tuple(tuple(mu) for mu in mus)
     if any(sum(mu) > f.N for mu in mus):
         raise ValueError("degree exceeds truncation bound N")
-    return f.coeffs.get(mus, ZERO)
+    return f.coefficient(mus)
 
 
 def plethysm_pr(r, f):
     """p_r plethysm: p_m -> p_{rm} per alphabet, variables to their r-th power."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    pc = f.to_basis("p")
     out = {}
-    for key, c in pc.items():
+    for key, c in f.coeffs.items():
         newkey = tuple(tuple(r * part for part in mu) for mu in key)
-        if any(sum(mu) > f.N for mu in newkey):
-            continue
-        c2 = c.scale_exponents(r)
-        if newkey in out:
-            out[newkey] = out[newkey] + c2
-        else:
-            out[newkey] = c2
-    return SymFunc.from_basis("p", out, f.k, f.N)
-
-
-def _max_power(f):
-    """Largest j with a chance that f**j survives truncation."""
-    if f.is_zero():
-        return 0
-    mindeg = min(sum(sum(mu) for mu in key) for key in f.coeffs)
-    return (f.k * f.N) // max(mindeg, 1)
+        if all(sum(mu) <= f.N for mu in newkey):
+            out[newkey] = c.scale_exponents(r)
+    return SymFunc(f.k, f.N, out)
 
 
 def ple_exp(f):
@@ -431,7 +398,7 @@ def ple_exp(f):
             g = g + term.scale(Fraction(1, r))
     out = SymFunc.one(f.k, f.N)
     power = SymFunc.one(f.k, f.N)
-    for j in range(1, _max_power(g) + 1):
+    for j in range(1, f.k * f.N + 1):
         # reduce after each power: the unreduced denominators otherwise
         # grow multiplicatively with j and dominate the whole computation
         power = (power * g).scale(Fraction(1, j)).simplified()
@@ -450,7 +417,7 @@ def ple_log(om):
     log_om = SymFunc.zero(om.k, om.N)
     power = SymFunc.one(om.k, om.N)
     sign = 1
-    for j in range(1, _max_power(a) + 1):
+    for j in range(1, om.k * om.N + 1):
         # same progressive reduction as in ple_exp
         power = (power * a).simplified()
         if power.is_zero():

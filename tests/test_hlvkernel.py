@@ -1,5 +1,6 @@
 import pytest
 
+from charstacks import hlvkernel
 from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W
 from charstacks.hlvkernel import KernelConfig, hook_H, omega, hlv_HH
@@ -64,6 +65,21 @@ def test_HH_odd_m_not_always_polynomial():
     assert f == ONE / (ONE + Z * Z)
     # while the conjugate shape stays polynomial
     assert hlv_HH(((1, 1),), 1) == ONE
+
+
+def test_log_omega_shared_across_mu(monkeypatch):
+    calls = []
+    real = hlvkernel.ple_log
+
+    def counting(om):
+        calls.append(om)
+        return real(om)
+
+    monkeypatch.setattr(hlvkernel, "ple_log", counting)
+    hlvkernel._log_omega.cache_clear()
+    hlv_HH(((2,),), 3)
+    hlv_HH(((1, 1),), 3)
+    assert len(calls) == 1
 
 
 def test_truncation_stability():

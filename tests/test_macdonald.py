@@ -34,6 +34,13 @@ def test_modified_H_small():
     assert md.modified_H((2, 1)) == s3 + s21.scale(Q + T) + s111.scale(Q * T)
 
 
+def test_modified_H_text_is_m_basis():
+    assert md.modified_H((2, 1)).text() == (
+        "(1,1,1) : 1 + 2*t^1 + 2*q^1 + 1*q^1*t^1\n"
+        "(2,1) : 1 + 1*t^1 + 1*q^1\n"
+        "(3) : 1")
+
+
 def test_specialized_H():
     s2 = basis_element("s", ((2,),), 1, 2)
     s11 = basis_element("s", ((1, 1),), 1, 2)
@@ -85,16 +92,17 @@ def test_P_triangular():
     for mu in _all_partitions_to(5):
         P = md.macdonald_P(mu)
         assert P.coefficient((mu,)) == ONE
-        for (lam,) in P.coeffs:
+        for (lam,) in P.to_basis("m"):
             assert pt.dominance_leq(lam, mu), (mu, lam)
 
 
 def test_P_orthogonality():
     for n in range(1, 6):
         parts = pt.enumerate_partitions(n)
+        P = {mu: md.macdonald_P(mu) for mu in parts}
         for i, mu in enumerate(parts):
             for nu in parts[i + 1:]:
-                ip = md.qt_inner(md.macdonald_P(mu), md.macdonald_P(nu))
+                ip = md.qt_inner(P[mu], P[nu])
                 assert ip == RatFunc(0)
 
 
