@@ -18,10 +18,11 @@ computed regardless and the genericity verdict is embedded in the report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import RatFunc, ONE, Q, T, U, u_to_q
+from .exactalg import RatFunc, ONE, Q, T, U, VARS, u_to_q
 from . import partitions as pt
 from .hlvkernel import hlv_HH
 
@@ -191,7 +192,6 @@ class SeriesReport:
 
 def _latex(f):
     def poly(p):
-        from .exactalg import VARS
         if p.is_zero():
             return "0"
         parts = []
@@ -308,7 +308,6 @@ def counterexample_report(n, d):
         raise ValueError("n must be >= 2")
     if d % 2 != 0:
         raise ValueError("d must be even")
-    import math
     # coprimality of n with d/2 is exactly what makes the orbit generic
     if math.gcd(n, d // 2) != 1:
         raise ValueError("n and d/2 must be coprime (orbit would not be generic)")

@@ -98,16 +98,9 @@ def cmd_verify_counterexample(args):
     return EXIT_OK if report.confirmed else EXIT_FALSE
 
 
-def _formula_at_q(surface, n, zeta, q):
-    """E-series value at the prime q, when zeta maps to a torsion angle."""
-    if zeta % q == 1 % q:
-        angle = Fraction(0)
-    elif zeta % q == q - 1:
-        angle = Fraction(1, 2)
-    else:
-        return None
-    orbit = cs.OrbitSpec.central(angle, n)
-    report = cs.eseries(surface, ((n,),), orbits=[orbit])
+def _formula_at_q(surface, n, q):
+    """E-series value at the prime q for a generic central orbit of GL_n."""
+    report = cs.eseries(surface, ((n,),))
     if report.half_integer_powers:
         return None
     return report.value.eval({"q": Fraction(q)})
@@ -127,7 +120,7 @@ def cmd_count(args):
         if args.r is None:
             raise ValueError("--nonorientable requires --r")
         surface = cs.nonorientable(r=args.r, k=1)
-        formula = _formula_at_q(surface, args.n, args.zeta, args.q)
+        formula = _formula_at_q(surface, args.n, args.q)
         report = fc.count_nonorientable(args.r, [orbit], args.q, args.n,
                                         formula_value=formula,
                                         cost_cap=args.cap)
@@ -135,7 +128,7 @@ def cmd_count(args):
         if args.g is None:
             raise ValueError("--orientable requires --g")
         surface = cs.orientable(g=args.g, k=1)
-        formula = _formula_at_q(surface, args.n, args.zeta, args.q)
+        formula = _formula_at_q(surface, args.n, args.q)
         report = fc.count_orientable(args.g, [orbit], args.q, args.n,
                                      formula_value=formula,
                                      cost_cap=args.cap)

@@ -10,17 +10,26 @@ forms the exact groupoid count raw / |GL_n(F_q)| for comparison with the
 E-series formulas evaluated at q.
 
 Matrices are tuples of tuples of residues.  The solution count is
-assembled by convolving exact distributions over GL_n (the distribution of
-D*theta(D), of commutators, and of orbit indicators): this reproduces the
-raw tuple count exactly while keeping the work at |GL|^2 products for the
-working cases (n = 2, q <= 13; n = 3 only for tiny q).
+assembled by convolving exact distributions over GL_n: the number of D
+with D*theta(D) = g, of pairs with commutator g, and orbit indicators.
+Each is a class function, so it is stored as one value per conjugacy
+class, keyed by (characteristic polynomial, degree of the minimal
+polynomial), which determines the class for n <= 3.  A convolution is
+evaluated on one representative per class, summing over the elements of
+one factor's support: at most #classes x |GL| products instead of |GL|^2.
+This reproduces the raw tuple count exactly and stays brute force: no
+character table or formula value enters.  n = 2 runs for every q <= 13;
+n = 3 only for q = 3.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 from . import charstack as cs
 
@@ -33,7 +42,8 @@ class EnumerationTooLarge(ValueError):
 
     def __init__(self, estimate, cap):
         super().__init__(
-            f"estimated {estimate:.2e} matrix operations exceeds cap {cap:.0e}")
+            f"estimated {estimate:.2e} matrix operations exceeds cap {cap:.0e} "
+            "(a count takes up to q^n classes x |GL_n(F_q)| products per step)")
         self.estimate = estimate
         self.cap = cap
 
@@ -52,10 +62,9 @@ def identity(n):
 
 
 def mat_mul(a, b, q):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(n)) % q for j in range(n))
-        for i in range(n))
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % q for col in cols])
+                  for row in a])
 
 
 def mat_scale(c, a, q):
@@ -123,7 +132,8 @@ def enumerate_gl(n, q):
     if n > 3:
         raise ValueError("n <= 3 only")
     if n == 3 and q > 3:
-        raise EnumerationTooLarge(float(q**9), float(3**9))
+        raise EnumerationTooLarge(_estimate_cost(n, q, 1),
+                                  _estimate_cost(3, 3, 1))
 
     def rec(entries):
         if len(entries) == n * n:
@@ -204,6 +214,128 @@ def _discrete_log(q):
     raise ValueError(f"q must be prime: {q}")
 
 
+# -- class functions -------------------------------------------------------------
+
+def _rank(rows, q):
+    """Rank over F_q of a list of equal-length rows."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], q - 2, q)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _class_key(a, q):
+    """(characteristic polynomial, degree of the minimal polynomial) of a.
+
+    The characteristic polynomial is given by (e_1, ..., e_n), e_k the sum
+    of the principal k x k minors; the minimal polynomial's degree is the
+    dimension of span(I, a, ..., a^(n-1)).  For n <= 3 the pair fixes the
+    invariant factors, so it is a complete conjugacy invariant: degree n
+    leaves the characteristic polynomial as the one factor, degree 1 means
+    a scalar, and degree 2 (n = 3) leaves x - c and the characteristic
+    polynomial divided by x - c, c its repeated root.
+    """
+    n = len(a)
+    charpoly = tuple(
+        sum(det(tuple(tuple(a[i][j] for j in s) for i in s), q)
+            for s in combinations(range(n), k)) % q
+        for k in range(1, n + 1))
+    powers = [identity(n)]
+    for _ in range(n - 1):
+        powers.append(mat_mul(powers[-1], a, q))
+    return charpoly, _rank([sum(p, ()) for p in powers], q)
+
+
+def _det(key):
+    """The determinant of the elements with this class key: e_n."""
+    return key[0][-1]
+
+
+@dataclass
+class _Classes:
+    """GL_n(F_q) split into conjugacy classes by _class_key.
+
+    A class function is a dict from class key to its value on each element
+    of the class; keys it omits have value 0.
+    """
+    order: int
+    key: dict      # element -> class key
+    inverse: dict  # element -> inverse
+    members: dict  # class key -> elements
+
+    @staticmethod
+    def of(n, q):
+        key, inverse, members = {}, {}, {}
+        for a in enumerate_gl(n, q):
+            k = _class_key(a, q)
+            key[a] = k
+            inverse[a] = mat_inv(a, q)
+            members.setdefault(k, []).append(a)
+        return _Classes(len(key), key, inverse, members)
+
+    def class_function(self, tally):
+        """The class function whose sum over each class is `tally`."""
+        out = {}
+        for k, total in tally.items():
+            value, rest = divmod(total, len(self.members[k]))
+            if rest:
+                raise ValueError(
+                    f"tally {total} on a class of {len(self.members[k])} "
+                    "elements: not a class function")
+            out[k] = value
+        return out
+
+    def convolve(self, f1, f2, q):
+        """(f1 * f2)(c) = sum over a in supp f1 of f1(a) f2(a^-1 c), on one
+        representative c per class: #classes x |supp f1| products."""
+        # det is multiplicative, so f1 * f2 vanishes off these determinants
+        dets = {_det(k1) * _det(k2) % q for k1 in f1 for k2 in f2}
+        out = {}
+        for k, members in self.members.items():
+            if _det(k) not in dets:
+                continue
+            c = members[0]
+            total = sum(v * f2.get(self.key[mat_mul(self.inverse[a], c, q)], 0)
+                        for ka, v in f1.items() for a in self.members[ka])
+            if total:
+                out[k] = total
+        return out
+
+
+def _dtheta(cls, q):
+    """N(g) = #{D : D theta(D) = g}: a class function, since D -> h D h^T
+    maps the solutions for g onto those for h g h^-1."""
+    return cls.class_function(
+        Counter(cls.key[mat_mul(d, theta(d, q), q)] for d in cls.key))
+
+
+def _commutators(cls, q):
+    """N(c) = #{(a, b) : a b a^-1 b^-1 = c}.  For fixed a this asks for
+    b a^-1 b^-1 = a^-1 c, which has |C(a)| = |GL| / |class(a)| solutions b
+    when a^-1 c is conjugate to a^-1, and none otherwise."""
+    centralizer = {k: cls.order // len(m) for k, m in cls.members.items()}
+    out = {}
+    for k, members in cls.members.items():
+        if _det(k) != 1:  # a commutator has determinant 1
+            continue
+        c = members[0]
+        total = sum(centralizer[cls.key[a]]
+                    for a, ainv in cls.inverse.items()
+                    if cls.key[mat_mul(ainv, c, q)] == cls.key[ainv])
+        if total:
+            out[k] = total
+    return out
+
+
 # -- counting --------------------------------------------------------------------
 
 @dataclass
@@ -236,108 +368,55 @@ class CountReport:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
-def _convolve(d1, d2, q):
-    """Convolution of two matrix-indexed count distributions."""
-    out = {}
-    for a, ca in d1.items():
-        for b, cb in d2.items():
-            m = mat_mul(a, b, q)
-            out[m] = out.get(m, 0) + ca * cb
-    return out
-
-
-def _dtheta_distribution(n, q):
-    dist = {}
-    for d in enumerate_gl(n, q):
-        m = mat_mul(d, theta(d, q), q)
-        dist[m] = dist.get(m, 0) + 1
-    return dist
-
-
-def _commutator_distribution(n, q):
-    dist = {}
-    gl = list(enumerate_gl(n, q))
-    for a in gl:
-        ainv = mat_inv(a, q)
-        for b in gl:
-            m = mat_mul(mat_mul(a, b, q),
-                        mat_mul(ainv, mat_inv(b, q), q), q)
-            dist[m] = dist.get(m, 0) + 1
-    return dist
-
-
 def _estimate_cost(n, q, steps):
-    return float(gl_order(n, q)) ** 2 * max(steps, 1)
+    """Matrix products: q^n bounds the number of conjugacy classes, and each
+    step evaluates one class function on every class, summing over at most
+    |GL| elements."""
+    return float(q**n * gl_order(n, q) * max(steps, 1))
 
 
-def _finish_with_orbits(dist, orbits, q, n):
-    """Fold in the orbit constraints; the last orbit is solved for rather
-    than enumerated (its member is determined by the other factors)."""
-    for orbit in orbits[:-1]:
-        ind = {m: 1 for m in orbit.members(q)}
-        dist = _convolve(dist, ind, q)
-    last = orbits[-1].members(q)
-    raw = 0
-    for m, c in dist.items():
-        if mat_inv(m, q) in last:
-            raw += c
-    return raw
+def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
+    """Count the tuples of `copies` factors, each distributed as
+    word(cls, q), then one element of each orbit, whose product is 1."""
+    _check_field(q)
+    if any(o.n != n for o in orbits):
+        raise ValueError("orbit size mismatch")
+    est = _estimate_cost(n, q, copies + len(orbits))
+    if est > cost_cap:
+        raise EnumerationTooLarge(est, cost_cap)
+    cls = _Classes.of(n, q)
+    factors = [word(cls, q)] * copies if copies else []
+    factors += [{cls.key[o.representative(q)]: 1} for o in orbits[:-1]]
+    dist = {cls.key[identity(n)]: 1}
+    for f in factors:
+        dist = cls.convolve(f, dist, q)
+    # the last orbit's element is determined by the other factors
+    raw = sum(dist.get(cls.key[cls.inverse[m]], 0)
+              for m in orbits[-1].members(q))
+    groupoid = Fraction(raw, cls.order)
+    return CountReport(
+        surface=surface,
+        orbits=[{"eigenvalues": list(o.eigenvalues)} for o in orbits],
+        q=q, n=n, raw_count=raw, gl_order=cls.order,
+        groupoid_count=groupoid,
+        formula_value=formula_value,
+        match=None if formula_value is None else groupoid == formula_value,
+    )
 
 
 def count_nonorientable(r, orbits, q, n, formula_value=None,
                         cost_cap=DEFAULT_COST_CAP):
     """Count tuples (D_1..D_r, Z_1..Z_k) solving the non-orientable relation."""
-    _check_field(q)
     if r < 1 or not orbits:
         raise ValueError("need r >= 1 and at least one orbit")
-    if any(o.n != n for o in orbits):
-        raise ValueError("orbit size mismatch")
-    est = _estimate_cost(n, q, r + len(orbits))
-    if est > cost_cap:
-        raise EnumerationTooLarge(est, cost_cap)
-    base = _dtheta_distribution(n, q)
-    dist = base
-    for _ in range(r - 1):
-        dist = _convolve(dist, base, q)
-    raw = _finish_with_orbits(dist, orbits, q, n)
-    order = gl_order(n, q)
-    groupoid = Fraction(raw, order)
-    return CountReport(
-        surface={"kind": "nonorientable", "r": r, "k": len(orbits)},
-        orbits=[{"eigenvalues": list(o.eigenvalues)} for o in orbits],
-        q=q, n=n, raw_count=raw, gl_order=order,
-        groupoid_count=groupoid,
-        formula_value=formula_value,
-        match=None if formula_value is None else groupoid == formula_value,
-    )
+    return _count({"kind": "nonorientable", "r": r, "k": len(orbits)},
+                  _dtheta, r, orbits, q, n, formula_value, cost_cap)
 
 
 def count_orientable(g, orbits, q, n, formula_value=None,
                      cost_cap=DEFAULT_COST_CAP):
     """Count tuples (A_1,B_1..A_g,B_g, X_1..X_k) solving the genus-g relation."""
-    _check_field(q)
     if g < 0 or not orbits:
         raise ValueError("need g >= 0 and at least one orbit")
-    if any(o.n != n for o in orbits):
-        raise ValueError("orbit size mismatch")
-    est = _estimate_cost(n, q, 2 * g + len(orbits))
-    if est > cost_cap:
-        raise EnumerationTooLarge(est, cost_cap)
-    if g == 0:
-        dist = {identity(n): 1}
-    else:
-        base = _commutator_distribution(n, q)
-        dist = base
-        for _ in range(g - 1):
-            dist = _convolve(dist, base, q)
-    raw = _finish_with_orbits(dist, orbits, q, n)
-    order = gl_order(n, q)
-    groupoid = Fraction(raw, order)
-    return CountReport(
-        surface={"kind": "orientable", "g": g, "k": len(orbits)},
-        orbits=[{"eigenvalues": list(o.eigenvalues)} for o in orbits],
-        q=q, n=n, raw_count=raw, gl_order=order,
-        groupoid_count=groupoid,
-        formula_value=formula_value,
-        match=None if formula_value is None else groupoid == formula_value,
-    )
+    return _count({"kind": "orientable", "g": g, "k": len(orbits)},
+                  _commutators, g, orbits, q, n, formula_value, cost_cap)

@@ -77,7 +77,7 @@ def test_criterion_4_eseries_vs_bruteforce():
                 r, [orb], q, 1, formula_value=formula.eval({"q": q}))
             assert rep.match, (r, q)
     formula = eseries(nonorientable(2, 1), ((2,),)).value
-    for q in (3, 5):
+    for q in (3, 5, 7):
         orb = fc.FqOrbit.central(-1, 2, q)
         assert orb.is_generic_with([], q)
         rep = fc.count_nonorientable(
@@ -91,7 +91,7 @@ def test_criterion_5_orientable_crosscheck():
     ori = eseries(orientable(1, 1), ((2,),)).value
     non = eseries(nonorientable(2, 1), ((2,),)).value
     assert ori == non == Q - ONE
-    for q in (3, 5):
+    for q in (3, 5, 7):
         orb = fc.FqOrbit.central(-1, 2, q)
         rep = fc.count_orientable(1, [orb], q, 2,
                                   formula_value=ori.eval({"q": q}))

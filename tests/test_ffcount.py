@@ -1,9 +1,12 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from charstacks import ffcount as fc
+from charstacks.ffcount import enumerate_gl, mat_inv, mat_mul, theta
 
 
 def test_gl_order():
@@ -109,6 +112,49 @@ def test_cost_cap():
         fc.count_nonorientable(2, [orb], 13, 3)
 
 
+def test_cost_model():
+    # a step costs at most q^n class representatives times |GL| products
+    assert fc._estimate_cost(2, 13, 2 + 1) <= fc.DEFAULT_COST_CAP
+    assert fc._estimate_cost(3, 13, 2 + 1) > fc.DEFAULT_COST_CAP
+
+
+def _generators(n, q):
+    """I + E_ij for i != j, which generate SL_n(F_q) for prime q, and
+    diag(g, 1, ..., 1) for a generator g of F_q^x: together they generate
+    GL_n(F_q)."""
+    g = next(x for x, k in fc._discrete_log(q).items() if k == 1)
+    gens = [tuple(tuple(int(r == c) + int((r, c) == (i, j)) for c in range(n))
+                  for r in range(n))
+            for i in range(n) for j in range(n) if i != j]
+    gens.append(tuple(tuple((g if r == 0 else 1) * int(r == c)
+                            for c in range(n)) for r in range(n)))
+    return gens
+
+
+@pytest.mark.parametrize("n, q", [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5)])
+def test_class_keys_are_conjugacy_classes(n, q):
+    # closed under conjugation by generators: each key's elements form a
+    # union of classes; as many keys as GL_n(F_q) has classes (q - 1,
+    # q^2 - 1, q^3 - q): each is exactly one class
+    keys = {a: fc._class_key(a, q) for a in enumerate_gl(n, q)}
+    for s in _generators(n, q):
+        sinv = mat_inv(s, q)
+        for a, key in keys.items():
+            assert keys[mat_mul(mat_mul(s, a, q), sinv, q)] == key
+    assert len(set(keys.values())) == {1: q - 1, 2: q**2 - 1, 3: q**3 - q}[n]
+
+
+def test_class_function_rejects_uneven_tally():
+    q = 3
+    classes = fc._Classes.of(2, q)
+    split = fc.FqOrbit.split([(1, 1), (2, 1)], q).representative(q)
+    key = classes.key[split]
+    # one element of a class of q(q+1) elements
+    with pytest.raises(ValueError, match="not a class function"):
+        classes.class_function({key: 1})
+    assert classes.class_function({key: q * (q + 1)}) == {key: 1}
+
+
 def test_report_json():
     import json
     orb = fc.FqOrbit.central(-1, 2, 3)
@@ -117,3 +163,103 @@ def test_report_json():
     assert data["raw_count"] == rep.raw_count
     assert data["groupoid_count"] == "2"
     assert data["match"] is True
+
+
+# -- element-level reference ------------------------------------------------------
+# The counting code this package used before it worked on class functions,
+# kept as the oracle for the class-function path: it convolves
+# matrix-indexed distributions element by element, at |GL|^2 products.
+
+def _convolve(d1, d2, q):
+    """Convolution of two matrix-indexed count distributions."""
+    out = {}
+    for a, ca in d1.items():
+        for b, cb in d2.items():
+            m = mat_mul(a, b, q)
+            out[m] = out.get(m, 0) + ca * cb
+    return out
+
+
+def _dtheta_distribution(n, q):
+    dist = {}
+    for d in enumerate_gl(n, q):
+        m = mat_mul(d, theta(d, q), q)
+        dist[m] = dist.get(m, 0) + 1
+    return dist
+
+
+def _commutator_distribution(n, q):
+    dist = {}
+    gl = list(enumerate_gl(n, q))
+    for a in gl:
+        ainv = mat_inv(a, q)
+        for b in gl:
+            m = mat_mul(mat_mul(a, b, q),
+                        mat_mul(ainv, mat_inv(b, q), q), q)
+            dist[m] = dist.get(m, 0) + 1
+    return dist
+
+
+def _finish_with_orbits(dist, orbits, q, n):
+    """Fold in the orbit constraints; the last orbit is solved for rather
+    than enumerated (its member is determined by the other factors)."""
+    for orbit in orbits[:-1]:
+        ind = {m: 1 for m in orbit.members(q)}
+        dist = _convolve(dist, ind, q)
+    last = orbits[-1].members(q)
+    raw = 0
+    for m, c in dist.items():
+        if mat_inv(m, q) in last:
+            raw += c
+    return raw
+
+
+@functools.lru_cache(maxsize=None)
+def _base_distribution(kind, n, q):
+    return (_dtheta_distribution if kind == "nonorientable"
+            else _commutator_distribution)(n, q)
+
+
+def _surface_distribution(kind, copies, n, q):
+    """The element-level distribution of the surface word, before orbits."""
+    if copies == 0:
+        return {fc.identity(n): 1}
+    base = _base_distribution(kind, n, q)
+    dist = base
+    for _ in range(copies - 1):
+        dist = _convolve(dist, base, q)
+    return dist
+
+
+def _oracle_grid():
+    """(kind, r or g, orbits, q, n) for n in {1, 2}, q in {3, 5}, r in
+    {1, 2, 3}, g in {0, 1, 2}, and every ordered k-tuple (k = 1, 2) of the
+    orbits zeta = +1, -1 and, for n = 2, the split orbit of
+    test_conjugation_invariance."""
+    for n in (1, 2):
+        for q in (3, 5):
+            orbits = [fc.FqOrbit.central(1, n, q), fc.FqOrbit.central(-1, n, q)]
+            if n == 2:
+                orbits.append(fc.FqOrbit.split([(1, 1), (2, 1)], q))
+            tuples = [list(t) for k in (1, 2)
+                      for t in itertools.product(orbits, repeat=k)]
+            for kind, copies in [("nonorientable", r) for r in (1, 2, 3)] + [
+                    ("orientable", g) for g in (0, 1, 2)]:
+                for orbs in tuples:
+                    yield kind, copies, orbs, q, n
+
+
+def test_class_counts_match_element_oracle():
+    dists = {}
+    cases = 0
+    for kind, copies, orbs, q, n in _oracle_grid():
+        key = (kind, copies, n, q)
+        if key not in dists:
+            dists[key] = _surface_distribution(kind, copies, n, q)
+        want = _finish_with_orbits(dists[key], orbs, q, n)
+        count = (fc.count_nonorientable if kind == "nonorientable"
+                 else fc.count_orientable)
+        rep = count(copies, orbs, q, n)
+        assert rep.raw_count == want, (kind, copies, orbs, q, n)
+        cases += 1
+    assert cases == 216
