@@ -144,6 +144,19 @@ def test_class_keys_are_conjugacy_classes(n, q):
     assert len(set(keys.values())) == {1: q - 1, 2: q**2 - 1, 3: q**3 - q}[n]
 
 
+def test_convolve_matches_element_oracle():
+    # convolution is bilinear and class indicators span the class
+    # functions, so all pairs of indicators cover every input at n = 2, q = 3
+    q = 3
+    classes = fc._Classes.of(2, q)
+    for k1, k2 in itertools.product(classes.members, repeat=2):
+        got = classes.convolve({k1: 1}, {k2: 1}, q)
+        want = _convolve(dict.fromkeys(classes.members[k1], 1),
+                         dict.fromkeys(classes.members[k2], 1), q)
+        assert {a: v for k, v in got.items()
+                for a in classes.members[k]} == want, (k1, k2)
+
+
 def test_class_function_rejects_uneven_tally():
     q = 3
     classes = fc._Classes.of(2, q)
