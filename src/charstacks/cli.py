@@ -120,18 +120,17 @@ def cmd_count(args):
         if args.r is None:
             raise ValueError("--nonorientable requires --r")
         surface = cs.nonorientable(r=args.r, k=1)
-        formula = _formula_at_q(surface, args.n, args.q)
-        report = fc.count_nonorientable(args.r, [orbit], args.q, args.n,
-                                        formula_value=formula,
-                                        cost_cap=args.cap)
+        copies, count = args.r, fc.count_nonorientable
     else:
         if args.g is None:
             raise ValueError("--orientable requires --g")
         surface = cs.orientable(g=args.g, k=1)
-        formula = _formula_at_q(surface, args.n, args.q)
-        report = fc.count_orientable(args.g, [orbit], args.q, args.n,
-                                     formula_value=formula,
-                                     cost_cap=args.cap)
+        copies, count = args.g, fc.count_orientable
+    # refuse an oversized count before paying for the formula
+    fc.check_size(copies, 1, args.q, args.n, args.cap)
+    report = count(copies, [orbit], args.q, args.n,
+                   formula_value=_formula_at_q(surface, args.n, args.q),
+                   cost_cap=args.cap)
     text = (f"groupoid count {report.groupoid_count}"
             + ("" if report.match is None else f", match {report.match}"))
     _emit(args.format, report.to_json(), text, str(report.groupoid_count))

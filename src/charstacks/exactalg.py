@@ -9,11 +9,23 @@ Rational functions are stored as num/den pairs of Laurent polynomials.
 Equality is decided by cross-multiplication; stored forms are NOT canonical.
 `RatFunc.simplified()` is an optional cleanup (gcd cancellation via sympy)
 used to keep intermediate swell under control, never for correctness.
+
+A coefficient is a plain `int` when it is integral and a
+`fractions.Fraction` only when it is not.  The entry points (`MPoly()`,
+`const`, `var`, `monomial`, `parse`, `from_ring`, `exact_div`) normalise
+to that form, and int + int and int * int stay int, so the series path
+runs on Python ints; a Fraction enters only with rational data, such as
+the 1/r scalings of the plethystic Log.  Arithmetic on a Fraction keeps a
+Fraction, which may be integral until the next entry point normalises it.
+The one hazard is `/` (or a negative power) between two ints, which gives
+a float: every coefficient quotient goes through `Fraction`, and a float
+reaching an entry point raises TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from sympy import QQ as _QQ
 from sympy.polys.rings import ring as _ring
@@ -46,32 +58,40 @@ def _as_fraction(c):
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+def _coeff(c):
+    """An exact scalar in stored form: int if integral, else Fraction."""
+    if type(c) is int:
+        return c
+    c = _as_fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class MPoly:
-    """Sparse Laurent polynomial: map exponent vector -> nonzero Fraction."""
+    """Sparse Laurent polynomial: map exponent vector -> nonzero coefficient
+    (an int, or a Fraction when not integral)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         if terms is None:
             terms = {}
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = {e: _coeff(c) for e, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c):
-        c = _as_fraction(c)
-        return MPoly({ZERO_EXP: c}) if c else MPoly()
+        return MPoly({ZERO_EXP: c})
 
     @staticmethod
     def var(name, exp=1):
         e = [0] * NVARS
         e[VAR_INDEX[name]] = exp
-        return MPoly({tuple(e): Fraction(1)})
+        return MPoly({tuple(e): 1})
 
     @staticmethod
     def monomial(exps, coeff=1):
-        return MPoly({tuple(exps): _as_fraction(coeff)})
+        return MPoly({tuple(exps): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -79,7 +99,7 @@ class MPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {ZERO_EXP: Fraction(1)}
+        return self.terms == {ZERO_EXP: 1}
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -88,7 +108,7 @@ class MPoly:
         return not self.terms or (len(self.terms) == 1 and ZERO_EXP in self.terms)
 
     def constant_value(self):
-        return self.terms.get(ZERO_EXP, Fraction(0))
+        return self.terms.get(ZERO_EXP, 0)
 
     def variables_used(self):
         used = set()
@@ -109,7 +129,7 @@ class MPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -132,8 +152,8 @@ class MPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -149,7 +169,7 @@ class MPoly:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
             ((e, c),) = self.terms.items()
-            return MPoly({tuple(x * n for x in e): c**n})
+            return MPoly({tuple(x * n for x in e): Fraction(c) ** n})
         out = MPoly.const(1)
         base = self
         while n:
@@ -187,7 +207,7 @@ class MPoly:
         return tuple(min(e[i] for e in self.terms) for i in range(NVARS))
 
     def shift(self, delta):
-        return MPoly({tuple(a + b for a, b in zip(e, delta)): c
+        return MPoly({tuple(map(add, e, delta)): c
                       for e, c in self.terms.items()})
 
     def exact_div(self, other):
@@ -204,7 +224,7 @@ class MPoly:
         if other.is_monomial():
             ((e2, c2),) = other.terms.items()
             inv = tuple(-x for x in e2)
-            return MPoly({tuple(a + b for a, b in zip(e, inv)): c / c2
+            return MPoly({tuple(a + b for a, b in zip(e, inv)): Fraction(c, c2)
                           for e, c in self.terms.items()})
         # shift both to honest polynomials; monomials are units here
         sf, sg = self.min_exponents(), other.min_exponents()
@@ -219,11 +239,11 @@ class MPoly:
             if any(a < b for a, b in zip(lead, g_lead)):
                 return None
             qe = tuple(a - b for a, b in zip(lead, g_lead))
-            qc = rem[lead] / g_lc
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
+            qc = _coeff(Fraction(rem[lead], g_lc))
+            quot[qe] = quot.get(qe, 0) + qc
             for e2, c2 in g.terms.items():
                 e = tuple(a + b for a, b in zip(qe, e2))
-                s = rem.get(e, Fraction(0)) - qc * c2
+                s = rem.get(e, 0) - qc * c2
                 if s:
                     rem[e] = s
                 else:
@@ -261,7 +281,7 @@ class MPoly:
                 name, _, exp = fac.partition("^")
                 e[VAR_INDEX[name]] = int(exp)
             key = tuple(e)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return MPoly(terms)
 
     def __repr__(self):
@@ -275,7 +295,8 @@ class MPoly:
 
     @staticmethod
     def from_ring(elem):
-        return MPoly({tuple(e): Fraction(int(c.numerator), int(c.denominator))
+        return MPoly({tuple(e): int(c.numerator) if c.denominator == 1
+                      else Fraction(int(c.numerator), int(c.denominator))
                       for e, c in elem.terms()})
 
 
@@ -505,7 +526,7 @@ def as_polynomial_in_q(f):
         e2[iq] += e2[iu] // 2
         e2[iu] = 0
         key = tuple(e2)
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
     return MPoly(out)
 
 
@@ -535,7 +556,7 @@ def u_to_q(f):
             e2 = list(e)
             e2[iq] += e2[iu] // 2
             e2[iu] = 0
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c
+            out[tuple(e2)] = out.get(tuple(e2), 0) + c
         return MPoly(out)
 
     return RatFunc(rewrite(num), rewrite(den)).simplified(), True

@@ -38,14 +38,8 @@ DEFAULT_COST_CAP = 10**9
 
 
 class EnumerationTooLarge(ValueError):
-    """Raised before starting an enumeration whose cost exceeds the cap."""
-
-    def __init__(self, estimate, cap):
-        super().__init__(
-            f"estimated {estimate:.2e} matrix operations exceeds cap {cap:.0e} "
-            "(a count takes up to q^n classes x |GL_n(F_q)| products per step)")
-        self.estimate = estimate
-        self.cap = cap
+    """Raised before starting an enumeration that is too large: its cost
+    exceeds the cap, or the group is too large to hold in memory."""
 
 
 def _check_field(q):
@@ -126,14 +120,22 @@ def gl_order(n, q):
     return order
 
 
+def _check_memory(n, q):
+    """Refuse GL_3(F_q) for q > 3, whatever the cost cap: a count holds
+    every element of the group, with its class key and inverse."""
+    if n == 3 and q > 3:
+        raise EnumerationTooLarge(
+            f"GL_3(F_{q}) has {gl_order(3, q):.2e} elements: a count holds "
+            "every element in memory, so GL_3(F_q) is enumerated only at "
+            f"q = 3 ({gl_order(3, 3)} elements), whatever the cost cap")
+
+
 def enumerate_gl(n, q):
     """All invertible n x n matrices, row-major entry order, singular skipped."""
     _check_field(q)
     if n > 3:
         raise ValueError("n <= 3 only")
-    if n == 3 and q > 3:
-        raise EnumerationTooLarge(_estimate_cost(n, q, 1),
-                                  _estimate_cost(3, 3, 1))
+    _check_memory(n, q)
 
     def rec(entries):
         if len(entries) == n * n:
@@ -375,15 +377,25 @@ def _estimate_cost(n, q, steps):
     return float(q**n * gl_order(n, q) * max(steps, 1))
 
 
+def check_size(copies, k, q, n, cost_cap=DEFAULT_COST_CAP):
+    """Raise EnumerationTooLarge, before any work, for a count of `copies`
+    factors (D_i, or commutator pairs) and k orbits in GL_n(F_q) that is
+    too large to run."""
+    _check_field(q)
+    est = _estimate_cost(n, q, copies + k)
+    if est > cost_cap:
+        raise EnumerationTooLarge(
+            f"estimated {est:.2e} matrix operations exceeds cap {cost_cap:.0e} "
+            "(a count takes up to q^n classes x |GL_n(F_q)| products per step)")
+    _check_memory(n, q)
+
+
 def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
     """Count the tuples of `copies` factors, each distributed as
     word(cls, q), then one element of each orbit, whose product is 1."""
-    _check_field(q)
     if any(o.n != n for o in orbits):
         raise ValueError("orbit size mismatch")
-    est = _estimate_cost(n, q, copies + len(orbits))
-    if est > cost_cap:
-        raise EnumerationTooLarge(est, cost_cap)
+    check_size(copies, len(orbits), q, n, cost_cap)
     cls = _Classes.of(n, q)
     factors = [word(cls, q)] * copies if copies else []
     factors += [{cls.key[o.representative(q)]: 1} for o in orbits[:-1]]

@@ -30,7 +30,6 @@ certificate of H~_mu, next to Schur positivity and q<->t symmetry.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactalg import MPoly, RatFunc, ONE, Q, T, Z, W, NVARS, VAR_INDEX
@@ -104,7 +103,7 @@ def modified_H(mu):
         for (inv, maj), count in terms.items():
             e = [0] * NVARS
             e[qi], e[ti] = inv, maj
-            poly[tuple(e)] = Fraction(count)
+            poly[tuple(e)] = count
         coeffs[(lam,)] = RatFunc(MPoly(poly))
     return SymFunc.from_basis("m", coeffs, 1, n)
 

@@ -114,3 +114,95 @@ def test_parse_multipartition():
     assert parse_multipartition("(2,1)|(1,1,1)") == ((2, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         parse_multipartition("(2)|(1)")
+
+
+# stdout of the series commands, pinned literally: the stored forms of the
+# values (term order, signs, coefficients) must not drift
+ESERIES_R2_3 = """\
+{
+  "checks": {
+    "d_mu": 2,
+    "half_integer_powers": false
+  },
+  "formula": "eseries-nonorientable",
+  "generic": null,
+  "log": [
+    "HH_mu_m = 1*w^2 + -2*z^1*w^1 + 1*z^2"
+  ],
+  "mu": [
+    [
+      3
+    ]
+  ],
+  "polynomial_in_q_t": true,
+  "surface": {
+    "k": 1,
+    "kind": "nonorientable",
+    "r": 2
+  },
+  "value": "-1 + 1*q^1"
+}
+"""
+
+MIXED_R2_2_11 = """\
+{
+  "checks": {
+    "d_mu": 4,
+    "half_integer_powers": false
+  },
+  "formula": "mixed-nonorientable",
+  "generic": null,
+  "log": [
+    "HH_mu_m = 1*w^2 + 1*w^4 + -2*z^1*w^1 + -2*z^1*w^3 + 1*z^2 + 2*z^2*w^2 \
++ -2*z^3*w^1 + 1*z^4"
+  ],
+  "mu": [
+    [
+      2
+    ],
+    [
+      1,
+      1
+    ]
+  ],
+  "polynomial_in_q_t": false,
+  "surface": {
+    "k": 2,
+    "kind": "nonorientable",
+    "r": 2
+  },
+  "value": "(1*t^4 + 1*q^1*t^4 + 2*q^1*t^5 + 2*q^2*t^5 + 2*q^2*t^6 \
++ 1*q^3*t^6 + 2*q^3*t^7 + 1*q^4*t^8) / (-1 + 1*q^1*t^2)"
+}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["eseries", "--nonorientable", "--r", "2", "--mu", "(3)"], ESERIES_R2_3),
+    (["mixed", "--nonorientable", "--r", "2", "--mu", "(2)|(1,1)"],
+     MIXED_R2_2_11),
+], ids=["eseries-r2-3", "mixed-r2-2-11"])
+def test_series_stdout_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+def test_count_gl3_guard_names_itself(capsys):
+    # the guard on enumerating GL_3(F_q), q > 3, is not the user's cap
+    code, out, err = run(capsys, "count", "--nonorientable", "--r", "1",
+                         "--n", "3", "--q", "7", "--zeta", "2",
+                         "--cap", "1e12")
+    assert code == 3 and out == ""
+    assert "3e+05" not in err and "cap 1e+12" not in err
+    assert "GL_3(F_7)" in err and "q = 3" in err
+
+
+def test_count_cap_checked_before_formula(capsys, monkeypatch):
+    def no_formula(*args, **kwargs):
+        raise AssertionError("the formula was computed for a refused count")
+
+    monkeypatch.setattr("charstacks.charstack.eseries", no_formula)
+    code, _, err = run(capsys, "count", "--nonorientable", "--r", "2",
+                       "--n", "3", "--q", "13", "--zeta", "3")
+    assert code == 3 and "cap" in err

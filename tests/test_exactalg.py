@@ -131,3 +131,67 @@ def test_eval_of_substitute_composes():
 def test_text_roundtrip():
     f = (Z - W) ** 2 / (Q * T * T - ONE)
     assert RatFunc.parse(f.text()) == f
+
+
+def _stored_form(p):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
+
+
+def test_integral_coefficients_stored_as_int():
+    z = MPoly.var("z")
+    assert MPoly.const(Fraction(4, 2)).terms == {(0, 0, 0, 0, 0): 2}
+    assert MPoly.parse("2/2*z^1") == z
+    f = RatFunc(MPoly.parse("2*z^1 + 4*w^2"), MPoly.parse("2*q^1"))
+    red = f.simplified()
+    assert red == f and red.den.is_one()
+    cases = [MPoly.const(Fraction(4, 2)), MPoly.parse("2/2*z^1"),
+             (z * 2).exact_div(MPoly.const(2)),
+             MPoly.from_ring(((Z - W) ** 2).num.to_ring()),
+             red.num, red.den]
+    for p in cases:
+        assert p.terms and all(type(c) is int for c in p.terms.values()), p
+
+
+def test_exact_div_by_int_gives_fraction():
+    half = MPoly.var("z").exact_div(MPoly.const(2))
+    assert half.terms == {(1, 0, 0, 0, 0): Fraction(1, 2)}
+    assert type(half.terms[(1, 0, 0, 0, 0)]) is Fraction
+    # long division: (z^2 - 1) / (2z - 2) = (z + 1) / 2
+    q = (Z * Z - ONE).num.exact_div((2 * Z - 2).num)
+    assert q == MPoly.parse("1/2 + 1/2*z^1") and _stored_form(q)
+    assert (2 * MPoly.var("z")) ** -2 == MPoly.parse("1/4*z^-2")
+
+
+def test_float_coefficient_rejected():
+    with pytest.raises(TypeError):
+        MPoly.const(0.5)
+    with pytest.raises(TypeError):
+        MPoly.monomial((1, 0, 0, 0, 0), 2.0)
+
+
+def _random_rational_mpoly(rng):
+    p = MPoly()
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 2) for _ in range(5))
+        p = p + MPoly.monomial(e, Fraction(rng.randint(-4, 4),
+                                           rng.choice((1, 1, 2, 3))))
+    return p if not p.is_zero() else MPoly.const(2)
+
+
+def test_no_float_coefficients_randomized():
+    rng = random.Random(19)
+    for _ in range(25):
+        a, b = _random_rational_mpoly(rng), _random_rational_mpoly(rng)
+        prod = a * b
+        results = [a + b, a - b, prod, a * 3, a ** 2, a ** 3]
+        normalised = [prod.exact_div(b), (a * 2).exact_div(MPoly.const(4)),
+                      RatFunc(a, b).simplified().num,
+                      RatFunc(a, b).simplified().den,
+                      RatFunc(prod, b).simplified().num]
+        assert prod.exact_div(b) == a
+        for p in results + normalised:
+            assert all(type(c) in (int, Fraction) for c in p.terms.values())
+        for p in normalised:
+            assert _stored_form(p), p
