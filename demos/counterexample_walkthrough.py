@@ -33,15 +33,15 @@ for mu in ((2,), (1, 1)):
                     for k, c in sorted(modified_H(mu).to_basis('s').items())))
 
 print("\n=== 3. The kernel function ===")
-HH = hlv_HH(mus, surface.m).simplified()
+HH = hlv_HH(mus, surface.m)
 print(f"HH_((2)),2(z,w) = {HH.text()}")
 
 print("\n=== 4. Dimension and the two series ===")
 print(f"d_mu = {d_mu(surface, mus)}")
 ese = eseries(surface, mus, orbits=[orbit])
 mix = mixed_series(surface, mus, orbits=[orbit])
-print(f"E-series        = {ese.value.simplified().text()}")
-print(f"mixed (formula) = {mix.value.simplified().text()}")
+print(f"E-series        = {ese.value.text()}")
+print(f"mixed (formula) = {mix.value.text()}")
 
 print("\n=== 5. The three verdicts ===")
 qt2 = Q * T * T

@@ -50,10 +50,6 @@ class OrbitSpec:
     def n(self):
         return sum(m for _, m in self.eigenvalues)
 
-    def partition(self):
-        """Multiplicities sorted decreasingly: the induced partition."""
-        return tuple(sorted((m for _, m in self.eigenvalues), reverse=True))
-
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -241,7 +237,7 @@ def _series(kind, surface, mus, orbits, x, w):
         mu=mus,
         generic=None if orbits is None else is_generic(orbits)[0],
         value=qval,
-        polynomial_in_q_t=even and qval.simplified().den.is_monomial(),
+        polynomial_in_q_t=even and qval.den.is_monomial(),
         half_integer_powers=not even,
         d_mu=d,
         log=[f"HH_mu_m = {HH.text()}"],

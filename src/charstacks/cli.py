@@ -107,8 +107,7 @@ def _formula_at_q(surface, n, q):
 
 
 def cmd_count(args):
-    if args.nonorientable == args.orientable:
-        raise ValueError("exactly one of --nonorientable/--orientable required")
+    surface = _surface_from_args(args, 1)
     orbit = fc.FqOrbit.central(args.zeta, args.n, args.q)
     generic, witness = cs.is_generic([orbit.as_angles(args.q)])
     if not generic:
@@ -117,14 +116,8 @@ def cmd_count(args):
             f"(witness: v = {witness['v']}, angle sum {witness['sum']}), "
             "so no formula is claimed for it")
     if args.nonorientable:
-        if args.r is None:
-            raise ValueError("--nonorientable requires --r")
-        surface = cs.nonorientable(r=args.r, k=1)
         copies, count = args.r, fc.count_nonorientable
     else:
-        if args.g is None:
-            raise ValueError("--orientable requires --g")
-        surface = cs.orientable(g=args.g, k=1)
         copies, count = args.g, fc.count_orientable
     # refuse an oversized count before paying for the formula
     fc.check_size(copies, 1, args.q, args.n, args.cap)

@@ -25,7 +25,7 @@ reaching an entry point raises TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from sympy import QQ as _QQ
 from sympy.polys.rings import ring as _ring
@@ -36,18 +36,6 @@ VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 ZERO_EXP = (0,) * NVARS
 
 _RING = _ring(" ".join(VARS), _QQ)[0]
-
-
-class PolynomialityError(ValueError):
-    """Raised when a rational function fails a polynomiality check.
-
-    Carries a witness: the offending monomial (exponent tuple) or the
-    uncancelled denominator.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _as_fraction(c):
@@ -103,20 +91,6 @@ class MPoly:
 
     def is_monomial(self):
         return len(self.terms) == 1
-
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and ZERO_EXP in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(ZERO_EXP, 0)
-
-    def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(VARS[i])
-        return used
 
     # -- ring operations ---------------------------------------------------
 
@@ -322,9 +296,6 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
-    def variables_used(self):
-        return self.num.variables_used() | self.den.variables_used()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFunc(other)
@@ -399,23 +370,46 @@ class RatFunc:
     # -- specialization ----------------------------------------------------------
 
     def substitute(self, bindings):
-        """Simultaneous substitution var -> RatFunc.
+        """Simultaneous substitution var -> nonzero monomial c * x^e.
 
+        A binding is an int, a Fraction, or a RatFunc whose num and den are
+        single terms; any other binding raises TypeError.  Each term of num
+        and den is mapped to one term, so no sum is re-expanded; c goes
+        through Fraction, so a negative power of it is never a float.
         Variables absent from `bindings` are left unchanged.  Raises
-        ZeroDivisionError if the denominator vanishes identically after
-        substitution.
+        ZeroDivisionError if the denominator vanishes after substitution.
         """
-        bound = {}
+        bound = []
         for v, val in bindings.items():
             val = RatFunc._coerce(val)
-            if val is None:
-                raise TypeError(f"binding for {v} is not a RatFunc")
-            bound[VAR_INDEX[v]] = val
-        num = _substitute_mpoly(self.num, bound)
-        den = _substitute_mpoly(self.den, bound)
-        if den.num.is_zero():
+            if val is None or not (val.num.is_monomial()
+                                   and val.den.is_monomial()):
+                raise TypeError(f"binding for {v} is not a monomial")
+            ((en, cn),) = val.num.terms.items()
+            ((ed, cd),) = val.den.terms.items()
+            bound.append((VAR_INDEX[v], tuple(map(sub, en, ed)),
+                          Fraction(cn, cd)))
+
+        def image(p):
+            out = {}
+            for e, c in p.terms.items():
+                img = list(e)
+                for i, _, _ in bound:
+                    img[i] = 0
+                for i, be, bc in bound:
+                    x = e[i]
+                    if x:
+                        img = [a + x * b for a, b in zip(img, be)]
+                        if bc != 1:
+                            c = c * bc ** x
+                key = tuple(img)
+                out[key] = out.get(key, 0) + c
+            return MPoly(out)
+
+        den = image(self.den)
+        if den.is_zero():
             raise ZeroDivisionError("denominator vanishes under substitution")
-        return num / den
+        return RatFunc(image(self.num), den)
 
     def eval(self, point):
         """Exact evaluation at a dict var -> Fraction; raises on poles."""
@@ -474,60 +468,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.text()})"
-
-
-def _substitute_mpoly(p, bound):
-    """Substitute bound variables (index -> RatFunc) into an MPoly."""
-    # cache powers per variable
-    pow_cache = {}
-
-    def vpow(i, e):
-        key = (i, e)
-        if key not in pow_cache:
-            pow_cache[key] = bound[i] ** e
-        return pow_cache[key]
-
-    total = RatFunc(0)
-    for e, c in p.terms.items():
-        term_num = MPoly.const(c)
-        term = RatFunc(term_num)
-        keep = [0] * NVARS
-        for i, x in enumerate(e):
-            if x:
-                if i in bound:
-                    term = term * vpow(i, x)
-                else:
-                    keep[i] = x
-        if any(keep):
-            term = term * RatFunc(MPoly.monomial(keep))
-        total = total + term
-    return total
-
-
-def as_polynomial_in_q(f):
-    """Rewrite f as an honest polynomial with u**2 -> q.
-
-    Succeeds iff f reduces to a Laurent polynomial with no negative
-    exponents whose u-exponents are all even.  Raises PolynomialityError
-    with a witness otherwise.
-    """
-    p = f.as_mpoly()
-    if p is None:
-        raise PolynomialityError("genuine denominator remains",
-                                 witness=f.simplified().den)
-    iu, iq = VAR_INDEX["u"], VAR_INDEX["q"]
-    out = {}
-    for e, c in p.terms.items():
-        if any(x < 0 for x in e):
-            raise PolynomialityError(f"negative exponent in monomial {e}", witness=e)
-        if e[iu] % 2:
-            raise PolynomialityError(f"odd power of u in monomial {e}", witness=e)
-        e2 = list(e)
-        e2[iq] += e2[iu] // 2
-        e2[iu] = 0
-        key = tuple(e2)
-        out[key] = out.get(key, 0) + c
-    return MPoly(out)
 
 
 def u_to_q(f):

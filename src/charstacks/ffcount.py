@@ -61,10 +61,6 @@ def mat_mul(a, b, q):
                   for row in a])
 
 
-def mat_scale(c, a, q):
-    return tuple(tuple((c * x) % q for x in row) for row in a)
-
-
 def transpose(a):
     n = len(a)
     return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))

@@ -6,33 +6,21 @@ polynomial of lambda specialized at (z**2, w**2); HH_{mu,m} is the Hall
 pairing of the plethystic logarithm of that series against h_mu, cleared
 by the prefactor (z**2 - 1)(1 - w**2).
 
-Truncating Omega at |lambda| <= N is sound because the degree-n part of
-the plethystic logarithm only depends on the series up to degree n; this
-is asserted as the truncation-stability test rather than assumed silently.
+HH_{mu,m} truncates Omega at |lambda| <= |mu|.  That is sound because the
+degree-n part of the plethystic logarithm only depends on the series up to
+degree n; test_truncation_stability asserts it on the paired Log at N and
+N + 1 rather than assuming it silently.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactalg import RatFunc, ONE, Z, W
 from . import partitions as pt
 from .macdonald import specialized_H
 from .symfunc import SymFunc, ple_log, hall_pair_h
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Kernel parameters: exponent m, alphabet count k, truncation N."""
-    m: int
-    k: int
-    N: int
-
-    def __post_init__(self):
-        if self.m < 0 or self.k < 1 or self.N < 1:
-            raise ValueError(f"invalid kernel config {self}")
 
 
 def hook_H(m, lam):
@@ -49,16 +37,18 @@ def hook_H(m, lam):
     return out
 
 
-def omega(cfg):
-    """The kernel series: 1 + sum over 1 <= |lambda| <= N of
+def omega(m, k, N):
+    """The kernel series in k alphabets: 1 + sum over 1 <= |lambda| <= N of
     hook_H(m, lambda) * prod_i H_lambda(x_i; z**2, w**2)."""
-    total = SymFunc.one(cfg.k, cfg.N)
-    for n in range(1, cfg.N + 1):
+    if m < 0 or k < 1 or N < 1:
+        raise ValueError(f"invalid kernel parameters m={m}, k={k}, N={N}")
+    total = SymFunc.one(k, N)
+    for n in range(1, N + 1):
         for lam in pt.enumerate_partitions(n):
-            hook = hook_H(cfg.m, lam).simplified()
+            hook = hook_H(m, lam).simplified()
             pcoeffs = {key[0]: c for key, c in specialized_H(lam).coeffs.items()}
             out = {}
-            for combo in itertools.product(pcoeffs.items(), repeat=cfg.k):
+            for combo in itertools.product(pcoeffs.items(), repeat=k):
                 key = tuple(mu for mu, _ in combo)
                 c = hook
                 for _, v in combo:
@@ -66,28 +56,21 @@ def omega(cfg):
                 out[key] = out.get(key, RatFunc(0)) + c
             # reduce after each shape: unreduced, the hook denominators of
             # one degree multiply up, and later gcds on them dominate
-            total = (total + SymFunc(cfg.k, cfg.N, out)).simplified()
+            total = (total + SymFunc(k, N, out)).simplified()
     return total
 
 
 @lru_cache(maxsize=None)
 def _log_omega(m, k, N):
     """Plelog(Omega_m), shared by every multipartition it is paired with."""
-    return ple_log(omega(KernelConfig(m=m, k=k, N=N)))
+    return ple_log(omega(m, k, N))
 
 
-def hlv_HH(mus, m, N=None):
-    """HH_{mu,m}(z,w) = (z**2 - 1)(1 - w**2) <Plelog(Omega_m), h_mu>.
-
-    Independent of the truncation N as long as N >= |mu_i| (tested as the
-    truncation-stability invariant).
-    """
+def hlv_HH(mus, m):
+    """HH_{mu,m}(z,w) = (z**2 - 1)(1 - w**2) <Plelog(Omega_m), h_mu>,
+    with Omega_m truncated at |lambda| <= max(|mu|, 1)."""
     mus = pt.check_multipartition(mus)
-    n = sum(mus[0])
-    if N is None:
-        N = max(n, 1)
-    if N < n:
-        raise ValueError("truncation bound below |mu|")
+    N = max(sum(mus[0]), 1)
     paired = hall_pair_h(_log_omega(m, len(mus), N), mus)
     # prefactor applied before any cleanup so the cancellation is exact
     return ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()

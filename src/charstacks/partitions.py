@@ -22,10 +22,6 @@ def check_partition(lam):
     return lam
 
 
-def size(lam):
-    return sum(lam)
-
-
 @lru_cache(maxsize=None)
 def enumerate_partitions(n):
     """All partitions of n, in reverse lexicographic order."""

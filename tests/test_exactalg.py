@@ -3,9 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from charstacks.exactalg import (MPoly, RatFunc, PolynomialityError,
-                                 as_polynomial_in_q, u_to_q,
-                                 ONE, Z, W, Q, T, U)
+from charstacks.exactalg import MPoly, RatFunc, u_to_q, ONE, Z, W, Q, T, U
 
 
 def rf(s):
@@ -59,19 +57,15 @@ def test_eval_pole_reported():
         (ONE / (Q - ONE)).eval({"q": 1})
 
 
-def test_as_polynomial_in_q():
-    f = U ** 4 - U * U
-    assert as_polynomial_in_q(f) == (Q * Q - Q).num
+def test_substitute_refuses_non_monomial():
+    for binding in ({"z": ONE + U}, {"z": ONE / (ONE + U)}, {"z": 0}):
+        with pytest.raises(TypeError):
+            (Z - W).substitute(binding)
 
 
-def test_as_polynomial_in_q_odd_power_fails():
-    with pytest.raises(PolynomialityError):
-        as_polynomial_in_q(U ** 3)
-
-
-def test_as_polynomial_in_q_exact_division():
-    f = (U * U - ONE) ** 2 / (U * U - ONE)
-    assert as_polynomial_in_q(f) == (Q - ONE).num
+def test_substitute_vanishing_denominator():
+    with pytest.raises(ZeroDivisionError):
+        (ONE / (Q - ONE)).substitute({"q": 1})
 
 
 def test_u_to_q_parity():
@@ -186,10 +180,11 @@ def test_no_float_coefficients_randomized():
         a, b = _random_rational_mpoly(rng), _random_rational_mpoly(rng)
         prod = a * b
         results = [a + b, a - b, prod, a * 3, a ** 2, a ** 3]
+        image = RatFunc(a, b).substitute({"t": -(ONE / U), "z": T * U})
         normalised = [prod.exact_div(b), (a * 2).exact_div(MPoly.const(4)),
                       RatFunc(a, b).simplified().num,
                       RatFunc(a, b).simplified().den,
-                      RatFunc(prod, b).simplified().num]
+                      RatFunc(prod, b).simplified().num, image.num, image.den]
         assert prod.exact_div(b) == a
         for p in results + normalised:
             assert all(type(c) in (int, Fraction) for c in p.terms.values())
