@@ -187,6 +187,9 @@ class SeriesReport:
 
 
 def _latex(f):
+    """LaTeX form of f, which must already be reduced: every caller passes
+    the output of hlv_HH or u_to_q."""
+
     def poly(p):
         if p.is_zero():
             return "0"
@@ -208,7 +211,6 @@ def _latex(f):
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
-    f = f.simplified()
     if f.den.is_one():
         return poly(f.num)
     return f"\\frac{{{poly(f.num)}}}{{{poly(f.den)}}}"

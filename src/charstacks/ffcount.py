@@ -28,7 +28,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
 from . import charstack as cs
@@ -132,17 +132,10 @@ def enumerate_gl(n, q):
     if n > 3:
         raise ValueError("n <= 3 only")
     _check_memory(n, q)
-
-    def rec(entries):
-        if len(entries) == n * n:
-            m = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
-            if det(m, q) != 0:
-                yield m
-            return
-        for x in range(q):
-            yield from rec(entries + [x])
-
-    yield from rec([])
+    for entries in product(range(q), repeat=n * n):
+        m = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        if det(m, q) != 0:
+            yield m
 
 
 # -- orbits ---------------------------------------------------------------------

@@ -15,9 +15,10 @@ N + 1 rather than assuming it silently.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
-from .exactalg import RatFunc, ONE, Z, W
+from .exactalg import ONE, Z, W
 from . import partitions as pt
 from .macdonald import specialized_H
 from .symfunc import SymFunc, ple_log, hall_pair_h
@@ -47,13 +48,9 @@ def omega(m, k, N):
         for lam in pt.enumerate_partitions(n):
             hook = hook_H(m, lam).simplified()
             pcoeffs = {key[0]: c for key, c in specialized_H(lam).coeffs.items()}
-            out = {}
-            for combo in itertools.product(pcoeffs.items(), repeat=k):
-                key = tuple(mu for mu, _ in combo)
-                c = hook
-                for _, v in combo:
-                    c = c * v
-                out[key] = out.get(key, RatFunc(0)) + c
+            out = {tuple(mu for mu, _ in combo):
+                   hook * math.prod(v for _, v in combo)
+                   for combo in itertools.product(pcoeffs.items(), repeat=k)}
             # reduce after each shape: unreduced, the hook denominators of
             # one degree multiply up, and later gcds on them dominate
             total = (total + SymFunc(k, N, out)).simplified()

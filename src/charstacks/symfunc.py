@@ -9,11 +9,12 @@ the coefficients.  Truncation drops any component whose degree in some
 alphabet exceeds N.
 
 The m, h, e and s bases are views.  `to_basis` and `from_basis` change
-basis alphabet by alphabet through the m basis: a degree-n symmetric
-function is faithfully represented by its expansion in n concrete
-variables, which gives every basis -> m table (exact Fraction arithmetic),
-and per-degree matrix inversion gives the m -> basis tables.  Coefficient
-lookup, the Hall pairing against h and the text form read the m view.
+basis alphabet by alphabet through the m basis.  The basis -> m tables
+are counts (exact Fractions): Kostka numbers give the s rows and, by
+Young's rule, the h and e rows, and the ways to distribute the parts of
+lam over rows give the p rows.  Per-degree matrix inversion gives the
+m -> basis tables.  Coefficient lookup, the Hall pairing against h and the
+text form read the m view.
 """
 
 from __future__ import annotations
@@ -26,76 +27,32 @@ from functools import lru_cache
 from .exactalg import RatFunc, ONE, ZERO
 from . import partitions as pt
 
-BASES = ("m", "h", "e", "p", "s")
+
+@lru_cache(maxsize=None)
+def _kostka(lam, nu):
+    """K_{lam,nu}, the number of semistandard tableaux of shape lam and
+    content nu.  The cells holding the largest letter form a horizontal
+    strip lam/kappa of nu[-1] cells, and the rest is a tableau of shape
+    kappa and content nu[:-1]."""
+    if not nu:
+        return int(not lam)
+    strips = itertools.product(
+        *(range(low, part + 1) for part, low in zip(lam, lam[1:] + (0,))))
+    size = sum(lam) - nu[-1]
+    return sum(_kostka(tuple(x for x in kappa if x), nu[:-1])
+               for kappa in strips if sum(kappa) == size)
 
 
-# -- concrete expansions in n variables (exponent tuple -> Fraction) --------
-
-def _poly_mul(d1, d2):
-    out = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _p_vars(r, nvars):
-    out = {}
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = r
-        out[tuple(e)] = Fraction(1)
-    return out
-
-
-def _h_vars(r, nvars):
-    out = {}
-    for combo in itertools.combinations_with_replacement(range(nvars), r):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out[tuple(e)] = Fraction(1)
-    return out
-
-
-def _e_vars(r, nvars):
-    out = {}
-    for combo in itertools.combinations(range(nvars), r):
-        e = [0] * nvars
-        for i in combo:
-            e[i] = 1
-        out[tuple(e)] = Fraction(1)
-    return out
-
-
-def _vars_to_m(poly):
-    """Read m-basis coefficients off a symmetric polynomial expansion."""
-    out = {}
-    for e, c in poly.items():
-        lam = tuple(sorted((x for x in e if x), reverse=True))
-        if e == lam + (0,) * (len(e) - len(lam)):
-            out[lam] = c
-    return out
-
-
-def _perm_sign(perm):
-    sign, seen = 1, set()
-    for i in range(len(perm)):
-        if i in seen:
-            continue
-        j, clen = i, 0
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+@lru_cache(maxsize=None)
+def _part_assignments(lam, rows):
+    """[m_rows] p_lam: the ways to put each part of lam into one row so
+    that row j sums to rows[j]."""
+    if not lam:
+        return int(not any(rows))
+    first = lam[0]
+    return sum(_part_assignments(lam[1:],
+                                 rows[:j] + (rows[j] - first,) + rows[j + 1:])
+               for j in range(len(rows)) if rows[j] >= first)
 
 
 @lru_cache(maxsize=None)
@@ -103,41 +60,27 @@ def basis_to_m(basis, lam):
     """Expansion of a single-alphabet basis element into the m basis.
 
     Returns a dict partition -> Fraction for basis in {m, h, e, p, s}.
+    [m_nu] p_lam counts part assignments and [m_nu] s_lam = K_{lam,nu}.
+    Young's rule h_lam = sum_kappa K_{kappa,lam} s_kappa, and its image
+    e_lam = sum_kappa K_{kappa',lam} s_kappa under omega, give the h and e
+    rows (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
     """
     lam = tuple(lam)
-    n = sum(lam)
     if basis == "m":
         return {lam: Fraction(1)}
-    if n == 0:
-        return {(): Fraction(1)}
-    nvars = n
-    if basis in ("p", "h", "e"):
-        gen = {"p": _p_vars, "h": _h_vars, "e": _e_vars}[basis]
-        poly = {(0,) * nvars: Fraction(1)}
-        for part in lam:
-            poly = _poly_mul(poly, gen(part, nvars))
-        return _vars_to_m(poly)
-    if basis == "s":
-        # Jacobi-Trudi: s_lam = det(h_{lam_i - i + j})
-        ell = len(lam)
-        total = {}
-        for perm in itertools.permutations(range(ell)):
-            degs = [lam[i] - i + perm[i] for i in range(ell)]
-            if any(d < 0 for d in degs):
-                continue
-            sign = _perm_sign(perm)
-            poly = {(0,) * nvars: Fraction(1)}
-            for d in degs:
-                if d:
-                    poly = _poly_mul(poly, _h_vars(d, nvars))
-            for e, c in poly.items():
-                s = total.get(e, 0) + sign * c
-                if s:
-                    total[e] = s
-                else:
-                    total.pop(e, None)
-        return _vars_to_m(total)
-    raise ValueError(f"unknown basis {basis!r}")
+    parts = pt.enumerate_partitions(sum(lam))
+    if basis == "p":
+        row = [_part_assignments(lam, nu) for nu in parts]
+    elif basis == "s":
+        row = [_kostka(lam, nu) for nu in parts]
+    elif basis in ("h", "e"):
+        flip = pt.conjugate if basis == "e" else (lambda kappa: kappa)
+        row = [sum(_kostka(flip(kappa), lam) * _kostka(kappa, nu)
+                   for kappa in parts) for nu in parts]
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    # Fraction, not int: _invert divides by these entries
+    return {nu: Fraction(c) for nu, c in zip(parts, row) if c}
 
 
 def _invert(matrix):

@@ -1,13 +1,14 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W, Q, T
-from charstacks.symfunc import (SymFunc, basis_element, hall_pair_h,
-                                plethysm_pr, ple_exp, ple_log)
+from charstacks.symfunc import (SymFunc, basis_element, basis_to_m,
+                                hall_pair_h, plethysm_pr, ple_exp, ple_log)
 
 
 def one_alphabet(basis, lam, N=None):
@@ -64,6 +65,41 @@ def test_schur_21_kostka():
         assert coeff(s, lam) == RatFunc(k)
     assert coeff(s, (2, 1)) == ONE
     assert coeff(s, (1, 1, 1)) == RatFunc(2)
+
+
+def _m_row_by_enumeration(basis, lam):
+    """[m_nu] of basis_lam, counted on the monomials of |lam| variables."""
+    n = sum(lam)
+    padded = {nu: nu + (0,) * (n - len(nu)) for nu in pt.enumerate_partitions(n)}
+    if basis == "s":
+        return {nu: _ssyt_count(lam, e, n) for nu, e in padded.items()}
+    # each part r picks one monomial of p_r, h_r or e_r: a variable to the
+    # power r, a multiset of r variables or a set of r variables
+    picks = {
+        "p": lambda r: [(i,) * r for i in range(n)],
+        "h": lambda r: list(
+            itertools.combinations_with_replacement(range(n), r)),
+        "e": lambda r: list(itertools.combinations(range(n), r)),
+    }[basis]
+    counts = Counter()
+    for choice in itertools.product(*(picks(r) for r in lam)):
+        exps = [0] * n
+        for monomial in choice:
+            for i in monomial:
+                exps[i] += 1
+        counts[tuple(exps)] += 1
+    return {nu: counts[e] for nu, e in padded.items()}
+
+
+def test_basis_tables_against_enumeration():
+    for n in range(1, 6):
+        for lam in pt.enumerate_partitions(n):
+            for basis in ("p", "h", "e", "s"):
+                table = basis_to_m(basis, lam)
+                want = _m_row_by_enumeration(basis, lam)
+                assert table == {nu: c for nu, c in want.items() if c}, \
+                    (basis, lam)
+                assert all(type(c) is Fraction for c in table.values())
 
 
 def test_m1_times_m1():
