@@ -96,16 +96,15 @@ def orientable(g, k):
 
 # -- genericity ---------------------------------------------------------------
 
-def _submultiset_sums_exact(eigenvalues, v):
-    """Achievable angle-sums over sub-multisets of size exactly v, with one
-    witness choice per sum."""
-    # dp over (count) -> {sum: witness}
+def _submultiset_sums(eigenvalues, vmax):
+    """Achievable angle-sums over sub-multisets of each size v <= vmax, as
+    a dict v -> {sum: witness choice}, one witness per sum."""
     dp = {0: {Fraction(0): ()}}
     for angle, mult in eigenvalues:
         nxt = {c: dict(d) for c, d in dp.items()}
         for take in range(1, mult + 1):
             for c, d in dp.items():
-                if c + take > v:
+                if c + take > vmax:
                     continue
                 tgt = nxt.setdefault(c + take, {})
                 for s, choice in d.items():
@@ -113,7 +112,7 @@ def _submultiset_sums_exact(eigenvalues, v):
                     if key not in tgt:
                         tgt[key] = choice + ((angle, take),)
         dp = nxt
-    return dp.get(v, {})
+    return dp
 
 
 def is_generic(orbits):
@@ -131,8 +130,9 @@ def is_generic(orbits):
     n = orbits[0].n
     if any(o.n != n for o in orbits):
         raise ValueError("orbits must share the same n")
+    tables = [_submultiset_sums(o.eigenvalues, n - 1) for o in orbits]
     for v in range(1, n):
-        per_orbit = [_submultiset_sums_exact(o.eigenvalues, v) for o in orbits]
+        per_orbit = [dp.get(v, {}) for dp in tables]
         # combine achievable sums across orbits
         combined = {Fraction(0): ()}
         for d in per_orbit:

@@ -81,8 +81,7 @@ def _orbits_from_args(args, mus):
 
 def cmd_series(args, which):
     mus = parse_multipartition(args.mu)
-    k = args.k if args.k is not None else len(mus)
-    surface = _surface_from_args(args, k)
+    surface = _surface_from_args(args, len(mus))
     orbits = _orbits_from_args(args, mus)
     fn = cs.eseries if which == "eseries" else cs.mixed_series
     report = fn(surface, mus, orbits=orbits)
@@ -154,7 +153,6 @@ def build_parser():
         p.add_argument("--orientable", action="store_true")
         p.add_argument("--r", type=int)
         p.add_argument("--g", type=int)
-        p.add_argument("--k", type=int)
         p.add_argument("--central-angle", action="append",
                        help="orbit angle as a fraction, one per alphabet")
         p.set_defaults(run=lambda a, w=name: cmd_series(a, w))

@@ -7,8 +7,10 @@ both occur and no fractional exponents are ever needed.
 
 Rational functions are stored as num/den pairs of Laurent polynomials.
 Equality is decided by cross-multiplication; stored forms are NOT canonical.
-`RatFunc.simplified()` is an optional cleanup (gcd cancellation via sympy)
-used to keep intermediate swell under control, never for correctness.
+The one reduction rule: a sum that cross-multiplies (the two denominators
+differ) is returned in lowest terms by `RatFunc.simplified()` (gcd
+cancellation via sympy), since unreduced sums swell multiplicatively.
+Products and quotients are reduced only where a caller asks.
 
 A coefficient is a plain `int` when it is integral and a
 `fractions.Fraction` only when it is not.  The entry points (`MPoly()`,
@@ -325,7 +327,7 @@ class RatFunc:
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+                       self.den * other.den).simplified()
 
     __radd__ = __add__
 
@@ -427,6 +429,8 @@ class RatFunc:
         """Cancel the gcd of num and den (sympy); semantics unchanged."""
         if self.num.is_zero():
             return RatFunc(MPoly(), MPoly.const(1))
+        if self.den.is_one():
+            return self
         if self.den.is_monomial():
             return RatFunc(self.num.exact_div(self.den), MPoly.const(1))
         # monomials are units: shift to honest polynomials first
@@ -445,13 +449,8 @@ class RatFunc:
 
     def as_mpoly(self):
         """The underlying Laurent polynomial, or None if genuinely rational."""
-        if self.den.is_monomial():
-            return self.num.exact_div(self.den)
-        q = self.num.exact_div(self.den)
-        if q is not None:
-            return q
         red = self.simplified()
-        return red.num.exact_div(red.den)
+        return red.num if red.den.is_one() else None
 
     def text(self):
         if self.den.is_one():

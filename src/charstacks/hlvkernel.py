@@ -51,9 +51,7 @@ def omega(m, k, N):
             out = {tuple(mu for mu, _ in combo):
                    hook * math.prod(v for _, v in combo)
                    for combo in itertools.product(pcoeffs.items(), repeat=k)}
-            # reduce after each shape: unreduced, the hook denominators of
-            # one degree multiply up, and later gcds on them dominate
-            total = (total + SymFunc(k, N, out)).simplified()
+            total = total + SymFunc(k, N, out)
     return total
 
 
@@ -69,5 +67,4 @@ def hlv_HH(mus, m):
     mus = pt.check_multipartition(mus)
     N = max(sum(mus[0]), 1)
     paired = hall_pair_h(_log_omega(m, len(mus), N), mus)
-    # prefactor applied before any cleanup so the cancellation is exact
     return ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()

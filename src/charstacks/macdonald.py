@@ -47,17 +47,12 @@ def _p_norm_factor(lam):
 
 
 def qt_inner(f, g):
-    """The (q,t) Hall form on single-alphabet SymFunc values.
-
-    The running sum is gcd-reduced after every addition: the unreduced
-    cross-multiplied numerators otherwise dominate the whole computation.
-    """
+    """The (q,t) Hall form on single-alphabet SymFunc values."""
     total = RatFunc(0)
     for (lam,), a in f.coeffs.items():
         b = g.coeffs.get((lam,))
         if b is not None:
-            term = (a * b * _p_norm_factor(lam)).simplified()
-            total = (total + term).simplified()
+            total = total + (a * b * _p_norm_factor(lam)).simplified()
     return total
 
 

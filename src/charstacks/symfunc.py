@@ -123,24 +123,15 @@ def _table(src, dst, lam):
 
 
 def _transform(coeffs, src, dst):
-    """Per-alphabet linear change of basis of a dict key -> RatFunc.
-
-    Accumulated sums are gcd-reduced on the fly; adding rational
-    functions with unrelated denominators blows up otherwise.
-    """
+    """Per-alphabet linear change of basis of a dict key -> RatFunc."""
     out = {}
     for key, c in coeffs.items():
         tables = [_table(src, dst, mu) for mu in key]
         for combo in itertools.product(*(d.items() for d in tables)):
             newkey = tuple(mu for mu, _ in combo)
-            term = c * math.prod(f for _, f in combo)
-            prev = out.get(newkey)
-            s = term if prev is None else (prev + term).simplified()
-            if s.is_zero():
-                out.pop(newkey, None)
-            else:
-                out[newkey] = s
-    return out
+            out[newkey] = out.get(newkey, ZERO) + c * math.prod(
+                f for _, f in combo)
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 def _mobius(n):
@@ -208,11 +199,7 @@ class SymFunc:
         self._check_compat(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = out.get(key, ZERO) + c
         return SymFunc(self.k, self.N, out)
 
     def __neg__(self):
@@ -240,11 +227,7 @@ class SymFunc:
                     continue
                 key = tuple(tuple(sorted(a + b, reverse=True))
                             for a, b in zip(k1, k2))
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                out[key] = out.get(key, ZERO) + c1 * c2
         return SymFunc(self.k, self.N, out)
 
     __rmul__ = __mul__
@@ -255,9 +238,6 @@ class SymFunc:
         that the result does not depend on the basis the ring stores."""
         return SymFunc(self.k, self.N,
                        {key: fn(c) for key, c in self.coeffs.items()})
-
-    def simplified(self):
-        return self.map_coefficients(lambda c: c.simplified())
 
     # -- basis changes -------------------------------------------------------
 
@@ -342,12 +322,10 @@ def ple_exp(f):
     out = SymFunc.one(f.k, f.N)
     power = SymFunc.one(f.k, f.N)
     for j in range(1, f.k * f.N + 1):
-        # reduce after each power: the unreduced denominators otherwise
-        # grow multiplicatively with j and dominate the whole computation
-        power = (power * g).scale(Fraction(1, j)).simplified()
+        power = (power * g).scale(Fraction(1, j))
         if power.is_zero():
             break
-        out = (out + power).simplified()
+        out = out + power
     return out
 
 
@@ -361,11 +339,10 @@ def ple_log(om):
     power = SymFunc.one(om.k, om.N)
     sign = 1
     for j in range(1, om.k * om.N + 1):
-        # same progressive reduction as in ple_exp
-        power = (power * a).simplified()
+        power = power * a
         if power.is_zero():
             break
-        log_om = (log_om + power.scale(Fraction(sign, j))).simplified()
+        log_om = log_om + power.scale(Fraction(sign, j))
         sign = -sign
     out = SymFunc.zero(om.k, om.N)
     for r in range(1, om.k * om.N + 1):

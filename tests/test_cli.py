@@ -41,7 +41,7 @@ def test_eseries(capsys):
 
 def test_mixed_r1(capsys):
     code, out, _ = run(capsys, "mixed", "--nonorientable", "--r", "1",
-                       "--k", "1", "--mu", "(1)", "--format", "text")
+                       "--mu", "(1)", "--format", "text")
     assert code == 0
     assert out.strip() == "(1*t^1 + 1*q^1*t^2) / (-1 + 1*q^1*t^2)"
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from charstacks.exactalg import MPoly, RatFunc, u_to_q, ONE, Z, W, Q, T, U
+from charstacks.exactalg import (MPoly, RatFunc, u_to_q, ONE, ZERO, Z, W, Q,
+                                T, U)
 
 
 def rf(s):
@@ -190,3 +191,29 @@ def test_no_float_coefficients_randomized():
             assert all(type(c) in (int, Fraction) for c in p.terms.values())
         for p in normalised:
             assert _stored_form(p), p
+
+
+def test_sum_stored_in_lowest_terms():
+    f = ONE / (Z * Z - ONE) + ONE / (Z - ONE)
+    assert f.num == MPoly.parse("2 + 1*z^1")
+    assert f.den == MPoly.parse("-1 + 1*z^2")
+
+
+def _random_unreduced(rng):
+    """A RatFunc with a non-monomial denominator and a common factor left
+    in its numerator and denominator."""
+    common = MPoly.const(rng.randint(2, 3)) + MPoly.monomial(
+        tuple(rng.randint(0, 1) for _ in range(5)), rng.choice((-1, 1, 2)))
+    den = MPoly.monomial((0, 0, rng.randint(1, 2), 0, 0), rng.randint(1, 3)) \
+        + MPoly.const(rng.choice((-2, -1, 1)))
+    return RatFunc(_random_rational_mpoly(rng) * common, den * common)
+
+
+def test_sum_reduced_randomized():
+    rng = random.Random(23)
+    for _ in range(25):
+        a, b = _random_unreduced(rng), _random_unreduced(rng)
+        assert a.den != b.den
+        for got, expected in ((a + b, (a + b).simplified()),
+                              (ZERO + a, a.simplified())):
+            assert (got.num, got.den) == (expected.num, expected.den)
