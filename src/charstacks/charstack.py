@@ -18,7 +18,6 @@ computed regardless and the genericity verdict is embedded in the report.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -226,18 +225,18 @@ def d_mu(surface, mus):
         p * p for mu in mus for p in mu)
 
 
-def _series(kind, surface, mus, orbits, x, w):
-    """The report for x^d/(x^2-1) * HH_{mu,m}(x, w), rewritten in q."""
-    mus = pt.check_multipartition(mus)
+def _series(kind, surface, mus, HH, generic):
+    """The report for x^d/(x^2-1) * HH(x, w), rewritten in q, where HH is
+    HH_{mu,m}(z,w) and generic the orbits' verdict (None: no orbits)."""
+    x, w = (U, ONE / U) if kind == "eseries" else (T * U, -(ONE / U))
     d = d_mu(surface, mus)
-    HH = hlv_HH(mus, surface.m)
     val = (x**d / (x * x - ONE)) * HH.substitute({"z": x, "w": w})
     qval, even = u_to_q(val)
     return SeriesReport(
         formula=f"{kind}-{surface.kind}",
         surface=surface,
         mu=mus,
-        generic=None if orbits is None else is_generic(orbits)[0],
+        generic=generic,
         value=qval,
         polynomial_in_q_t=even and qval.den.is_monomial(),
         half_integer_powers=not even,
@@ -246,15 +245,24 @@ def _series(kind, surface, mus, orbits, x, w):
     )
 
 
+def _report(kind, surface, mus, orbits):
+    """_series on HH_{mu,m} and the orbits' verdict; a k mismatch is
+    refused before HH is computed."""
+    mus = pt.check_multipartition(mus)
+    d_mu(surface, mus)
+    generic = None if orbits is None else is_generic(orbits)[0]
+    return _series(kind, surface, mus, hlv_HH(mus, surface.m), generic)
+
+
 def eseries(surface, mus, orbits=None):
     """E-series: q^(d/2)/(q-1) * HH_{mu,m}(sqrt q, 1/sqrt q), via u = sqrt q."""
-    return _series("eseries", surface, mus, orbits, U, ONE / U)
+    return _report("eseries", surface, mus, orbits)
 
 
 def mixed_series(surface, mus, orbits=None):
     """Conjectural mixed series:
     (qt^2)^(d/2)/(qt^2-1) * HH_{mu,m}(t sqrt q, -1/sqrt q), via (qt^2)^(1/2) = t u."""
-    return _series("mixed", surface, mus, orbits, T * U, -(ONE / U))
+    return _report("mixed", surface, mus, orbits)
 
 
 # -- the counterexample -------------------------------------------------------
@@ -300,30 +308,31 @@ def counterexample_report(n, d):
     Checks that the conjectural mixed series equals (qt^2+t)^2/(qt^2-1)
     (the Carlsson value), differs from the true mixed Poincare series
     qt^2 + t of the mu_2-gerbe over C*, and specializes at t = -1 to the
-    E-series q - 1.
+    E-series q - 1.  Both series come from one HH_{(n),2}.
+
+    Genericity of the orbit is the precondition: it holds exactly when d
+    is even and gcd(n, d/2) = 1, and a non-generic orbit is refused with
+    is_generic's witness.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if d % 2 != 0:
-        raise ValueError("d must be even")
-    # coprimality of n with d/2 is exactly what makes the orbit generic
-    if math.gcd(n, d // 2) != 1:
-        raise ValueError("n and d/2 must be coprime (orbit would not be generic)")
+    generic, witness = is_generic([OrbitSpec.central(Fraction(d, 2 * n), n)])
+    if not generic:
+        raise ValueError(
+            f"the central orbit of GL_{n} at angle d/(2n) = {d}/{2 * n} is not "
+            f"generic (witness: v = {witness['v']}, angle sum "
+            f"{witness['sum']})")
     surface = nonorientable(r=2, k=1)
     mus = ((n,),)
-    orbit = OrbitSpec.central(Fraction(d, 2 * n), n)
-    generic, _ = is_generic([orbit])
-    mix = mixed_series(surface, mus, orbits=[orbit])
-    ese = eseries(surface, mus, orbits=[orbit])
+    HH = hlv_HH(mus, surface.m)
+    mix = _series("mixed", surface, mus, HH, generic)
+    ese = _series("eseries", surface, mus, HH, generic)
     gerbe = Q * T * T + T
     carlsson = gerbe * gerbe / (Q * T * T - ONE)
-    matches = mix.value == carlsson
-    differs = not (mix.value == gerbe)
-    espec = mix.value.substitute({"t": RatFunc(-1)}) == ese.value
     return CounterexampleReport(
         n=n, d=d, mixed=mix, eseries=ese,
-        matches_carlsson=matches,
-        differs_from_gerbe_series=differs,
-        espec_matches=espec,
+        matches_carlsson=mix.value == carlsson,
+        differs_from_gerbe_series=mix.value != gerbe,
+        espec_matches=mix.value.substitute({"t": RatFunc(-1)}) == ese.value,
         generic=generic,
     )

@@ -190,11 +190,6 @@ class FqOrbit:
         return cs.OrbitSpec.make([(Fraction(log[v], q - 1), m)
                                   for v, m in self.eigenvalues])
 
-    def is_generic_with(self, others, q):
-        """Finite-field genericity of (self, *others): charstack.is_generic
-        on their angles."""
-        return cs.is_generic([o.as_angles(q) for o in (self, *others)])[0]
-
 
 def _discrete_log(q):
     """Map x -> k with x = g^k mod q, for the least generator g of F_q^x."""

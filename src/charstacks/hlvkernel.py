@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 from .exactalg import ONE, Z, W
 from . import partitions as pt
@@ -55,16 +54,10 @@ def omega(m, k, N):
     return total
 
 
-@lru_cache(maxsize=None)
-def _log_omega(m, k, N):
-    """Plelog(Omega_m), shared by every multipartition it is paired with."""
-    return ple_log(omega(m, k, N))
-
-
 def hlv_HH(mus, m):
     """HH_{mu,m}(z,w) = (z**2 - 1)(1 - w**2) <Plelog(Omega_m), h_mu>,
     with Omega_m truncated at |lambda| <= max(|mu|, 1)."""
     mus = pt.check_multipartition(mus)
     N = max(sum(mus[0]), 1)
-    paired = hall_pair_h(_log_omega(m, len(mus), N), mus)
+    paired = hall_pair_h(ple_log(omega(m, len(mus), N)), mus)
     return ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()

@@ -48,12 +48,9 @@ def _p_norm_factor(lam):
 
 def qt_inner(f, g):
     """The (q,t) Hall form on single-alphabet SymFunc values."""
-    total = RatFunc(0)
-    for (lam,), a in f.coeffs.items():
-        b = g.coeffs.get((lam,))
-        if b is not None:
-            total = total + (a * b * _p_norm_factor(lam)).simplified()
-    return total
+    terms = [(a * g.coeffs[key] * _p_norm_factor(key[0])).simplified()
+             for key, a in f.coeffs.items() if key in g.coeffs]
+    return sum(terms[1:], terms[0]) if terms else RatFunc(0)
 
 
 def _hhl_diagram(mu):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from charstacks import charstack
 from charstacks.exactalg import RatFunc, ONE, Q, T
 from charstacks.charstack import (OrbitSpec, nonorientable, orientable,
                                   is_generic, d_mu, eseries, mixed_series,
@@ -58,6 +59,17 @@ def test_generic_permutation_invariant():
 def test_mismatched_n_rejected():
     with pytest.raises(ValueError):
         is_generic([OrbitSpec.central(0, 2), OrbitSpec.central(0, 3)])
+
+
+def test_series_refusals_come_before_HH(monkeypatch):
+    def no_HH(mus, m):
+        raise AssertionError("HH computed for a refused input")
+
+    monkeypatch.setattr(charstack, "hlv_HH", no_HH)
+    with pytest.raises(ValueError, match="k mismatch"):
+        eseries(nonorientable(2, 2), ((2,),))
+    with pytest.raises(ValueError, match="at least one orbit"):
+        mixed_series(nonorientable(2, 1), ((2,),), orbits=[])
 
 
 def test_d_mu():
@@ -145,7 +157,26 @@ def test_counterexample_n2():
 
 
 def test_counterexample_preconditions():
-    with pytest.raises(ValueError):
-        counterexample_report(2, 1)  # d odd
+    # a non-generic orbit is refused with is_generic's witness: for d odd
+    # the whole orbit sums to 1/2, and for d = 4 the orbit is the identity,
+    # one of whose eigenvalues has angle sum 0
+    with pytest.raises(ValueError, match="not generic.*v = 2,"):
+        counterexample_report(2, 1)
+    with pytest.raises(ValueError, match="not generic.*v = 1,"):
+        counterexample_report(2, 4)
     with pytest.raises(ValueError):
         counterexample_report(1, 2)  # n too small
+
+
+def test_counterexample_computes_HH_once(monkeypatch):
+    calls = []
+    real = charstack.hlv_HH
+
+    def counting(mus, m):
+        calls.append((mus, m))
+        return real(mus, m)
+
+    monkeypatch.setattr(charstack, "hlv_HH", counting)
+    assert counterexample_report(3, 2).confirmed
+    assert calls == [(((3,),), 2)]
+

@@ -116,8 +116,8 @@ def test_parse_multipartition():
         parse_multipartition("(2)|(1)")
 
 
-# stdout of the series commands, pinned literally: the stored forms of the
-# values (term order, signs, coefficients) must not drift
+# stdout of the commands, pinned literally: the stored forms of the values
+# (term order, signs, coefficients) and their LaTeX must not drift
 ESERIES_R2_3 = """\
 {
   "checks": {
@@ -177,11 +177,37 @@ MIXED_R2_2_11 = """\
 """
 
 
+VERIFY_N3_D2 = """\
+{
+  "checks": {
+    "differs_from_gerbe_series": true,
+    "matches_carlsson_value": true,
+    "t_minus_one_matches_eseries": true
+  },
+  "confirmed": true,
+  "d": 2,
+  "eseries": "-1 + 1*q^1",
+  "generic": true,
+  "mixed_series": "(1*t^2 + 2*q^1*t^3 + 1*q^2*t^4) / (-1 + 1*q^1*t^2)",
+  "n": 3
+}
+"""
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["eseries", "--nonorientable", "--r", "2", "--mu", "(3)"], ESERIES_R2_3),
     (["mixed", "--nonorientable", "--r", "2", "--mu", "(2)|(1,1)"],
      MIXED_R2_2_11),
-], ids=["eseries-r2-3", "mixed-r2-2-11"])
+    (["hlv", "--mu", "(2)", "--m", "1", "--format", "latex"],
+     "\\frac{1}{1 + z^{2}}\n"),
+    # the "+ -" of a negative term is rewritten to "- "
+    (["eseries", "--orientable", "--g", "1", "--mu", "(2,1)",
+      "--format", "latex"], "-1 + q^{2} - q^{3} + q^{5}\n"),
+    (["mixed", "--nonorientable", "--r", "1", "--mu", "(2)",
+      "--format", "latex"], "\\frac{q^{-1}t^{-2}}{-1 + q^{2}t^{4}}\n"),
+    (["verify-counterexample", "--n", "3", "--d", "2"], VERIFY_N3_D2),
+], ids=["eseries-r2-3", "mixed-r2-2-11", "hlv-2-m1-latex",
+        "eseries-g1-21-latex", "mixed-r1-2-latex", "verify-n3-d2"])
 def test_series_stdout_pinned(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from charstacks import charstack as cs
 from charstacks import ffcount as fc
 from charstacks.ffcount import enumerate_gl, mat_inv, mat_mul, theta
 
@@ -66,7 +67,7 @@ def test_nonorientable_flagship():
 def test_nonorientable_nongeneric_orbit():
     # zeta = +1 is non-generic; the formula value q-1 does not apply
     orb = fc.FqOrbit.central(1, 2, 3)
-    assert not orb.is_generic_with([], 3)
+    assert not cs.is_generic([orb.as_angles(3)])[0]
     rep = fc.count_nonorientable(2, [orb], 3, 2)
     assert rep.groupoid_count != 2
 
@@ -91,19 +92,20 @@ def test_conjugation_invariance():
 
 
 def test_genericity_finite_field():
-    assert fc.FqOrbit.central(-1, 2, 5).is_generic_with([], 5)
-    assert not fc.FqOrbit.central(1, 2, 5).is_generic_with([], 5)
+    for zeta, generic in ((-1, True), (1, False)):
+        orb = fc.FqOrbit.central(zeta, 2, 5)
+        assert cs.is_generic([orb.as_angles(5)])[0] == generic
     # inverse pair (2, 3) over F_5: 2 * 3 = 1, so the k=2 tuple is degenerate
-    o = fc.FqOrbit.split([(2, 1), (3, 1)], 5)
-    assert not o.is_generic_with([o], 5)
+    pair = fc.FqOrbit.split([(2, 1), (3, 1)], 5)
+    assert not cs.is_generic([o.as_angles(5) for o in (pair, pair)])[0]
 
 
 def test_genericity_finite_field_determinant():
     # over F_7, 2 has order 3: 2*I_1 has determinant 2 != 1, and 2*I_3 is
     # generic (2^3 = 1, and 2, 4 != 1)
-    assert not fc.FqOrbit.central(2, 1, 7).is_generic_with([], 7)
-    assert fc.FqOrbit.central(2, 3, 7).is_generic_with([], 7)
-    assert not fc.FqOrbit.central(-1, 3, 7).is_generic_with([], 7)
+    for zeta, n, generic in ((2, 1, False), (2, 3, True), (-1, 3, False)):
+        orb = fc.FqOrbit.central(zeta, n, 7)
+        assert cs.is_generic([orb.as_angles(7)])[0] == generic
 
 
 def test_cost_cap():

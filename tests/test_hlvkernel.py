@@ -1,11 +1,10 @@
 import pytest
 
-from charstacks import hlvkernel
 from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W
-from charstacks.hlvkernel import _log_omega, hook_H, omega, hlv_HH
+from charstacks.hlvkernel import hook_H, omega, hlv_HH
 from charstacks.macdonald import specialized_H
-from charstacks.symfunc import basis_element, hall_pair_h
+from charstacks.symfunc import hall_pair_h, ple_log
 
 
 def test_hook_single_cell():
@@ -67,35 +66,18 @@ def test_HH_odd_m_not_always_polynomial():
     assert hlv_HH(((1, 1),), 1) == ONE
 
 
-def test_log_omega_shared_across_mu(monkeypatch):
-    calls = []
-    real = hlvkernel.ple_log
-
-    def counting(om):
-        calls.append(om)
-        return real(om)
-
-    monkeypatch.setattr(hlvkernel, "ple_log", counting)
-    hlvkernel._log_omega.cache_clear()
-    hlv_HH(((2,),), 3)
-    hlv_HH(((1, 1),), 3)
-    assert len(calls) == 1
-
-
-def _paired_stable(mus, m, N):
-    k = len(mus)
-    return (hall_pair_h(_log_omega(m, k, N), mus)
-            == hall_pair_h(_log_omega(m, k, N + 1), mus))
-
-
 def test_truncation_stability():
     # hlv_HH truncates at N = |mu|; the pairing must not see degree N + 1
-    for n in range(1, 4):
-        for m in range(4):
+    for m in range(4):
+        logs = {N: ple_log(omega(m, 1, N)) for N in range(1, 5)}
+        for n in range(1, 4):
             for lam in ((n,), (1,) * n):
-                assert _paired_stable((lam,), m, n)
-    assert _paired_stable(((2,), (2,)), 2, 2)
-    assert _paired_stable(((1,), (1,)), 3, 1)
+                assert hall_pair_h(logs[n], (lam,)) == \
+                    hall_pair_h(logs[n + 1], (lam,))
+    for mus, m, N in ((((2,), (2,)), 2, 2), (((1,), (1,)), 3, 1)):
+        k = len(mus)
+        assert hall_pair_h(ple_log(omega(m, k, N)), mus) == \
+            hall_pair_h(ple_log(omega(m, k, N + 1)), mus)
 
 
 def test_sign_flip_symmetry():

@@ -54,39 +54,6 @@ def _all_partitions_to(n):
         yield from pt.enumerate_partitions(size)
 
 
-def test_top_schur_coefficient_is_one():
-    for mu in _all_partitions_to(5):
-        assert md.schur_coefficients(mu)[(sum(mu),)] == ONE
-
-
-def test_qt_conjugation_symmetry():
-    swap = {"q": T, "t": Q}
-    for mu in _all_partitions_to(5):
-        swapped = md.modified_H(mu).map_coefficients(
-            lambda c: c.substitute(swap))
-        assert swapped == md.modified_H(pt.conjugate(mu))
-
-
-def test_q_t_one_collapse():
-    for mu in _all_partitions_to(5):
-        n = sum(mu)
-        spec = md.modified_H(mu).map_coefficients(
-            lambda c: RatFunc(c.eval({"q": 1, "t": 1})))
-        p1n = basis_element("p", ((1,) * n,), 1, n)
-        assert spec == p1n
-
-
-def test_schur_positivity():
-    for mu in _all_partitions_to(5):
-        for lam, c in md.schur_coefficients(mu).items():
-            poly = c.simplified()
-            assert poly.den.is_monomial() or poly.den.is_one()
-            p = poly.as_mpoly()
-            for e, coef in p.terms.items():
-                assert coef.denominator == 1 and coef > 0
-                assert all(x >= 0 for x in e)
-
-
 def test_P_triangular():
     # monic and dominance-triangular in the m basis
     for mu in _all_partitions_to(5):
@@ -94,16 +61,6 @@ def test_P_triangular():
         assert P.coefficient((mu,)) == ONE
         for (lam,) in P.to_basis("m"):
             assert pt.dominance_leq(lam, mu), (mu, lam)
-
-
-def test_P_orthogonality():
-    for n in range(1, 6):
-        parts = pt.enumerate_partitions(n)
-        P = {mu: md.macdonald_P(mu) for mu in parts}
-        for i, mu in enumerate(parts):
-            for nu in parts[i + 1:]:
-                ip = md.qt_inner(P[mu], P[nu])
-                assert ip == RatFunc(0)
 
 
 def test_empty_partition_is_one():
