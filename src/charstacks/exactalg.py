@@ -8,13 +8,18 @@ both occur and no fractional exponents are ever needed.
 Rational functions are stored as num/den pairs of Laurent polynomials.
 Equality is decided by cross-multiplication; stored forms are NOT canonical.
 The one reduction rule: a sum that cross-multiplies (the two denominators
-differ) is returned in lowest terms by `RatFunc.simplified()` (gcd
-cancellation via sympy), since unreduced sums swell multiplicatively.
-Products and quotients are reduced only where a caller asks.
+differ) is returned in lowest terms by `RatFunc.simplified()`, since
+unreduced sums swell multiplicatively.  Products and quotients are reduced
+only where a caller asks.  A reduced value has one stored form: num and den
+have integer coefficients with coprime contents, den has min exponents 0
+and a positive leading coefficient in lex order on (z, w, q, t, u), and a
+monomial den is folded into num.  The gcd is the heuristic gcd of Char,
+Geddes & Gonnet (1989; see also Liao & Fateman 1995) on integer term
+dicts, and a candidate is accepted only if it divides both inputs exactly.
 
 A coefficient is a plain `int` when it is integral and a
 `fractions.Fraction` only when it is not.  The entry points (`MPoly()`,
-`const`, `var`, `monomial`, `parse`, `from_ring`, `exact_div`) normalise
+`const`, `var`, `monomial`, `parse`, `exact_div`) normalise
 to that form, and int + int and int * int stay int, so the series path
 runs on Python ints; a Fraction enters only with rational data, such as
 the 1/r scalings of the plethystic Log.  Arithmetic on a Fraction keeps a
@@ -27,17 +32,13 @@ reaching an entry point raises TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from operator import add, sub
-
-from sympy import QQ as _QQ
-from sympy.polys.rings import ring as _ring
 
 VARS = ("z", "w", "q", "t", "u")
 NVARS = len(VARS)
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 ZERO_EXP = (0,) * NVARS
-
-_RING = _ring(" ".join(VARS), _QQ)[0]
 
 
 def _as_fraction(c):
@@ -54,6 +55,128 @@ def _coeff(c):
         return c
     c = _as_fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+# -- polynomials as term dicts: division and gcd ------------------------------
+#
+# A term dict maps exponent vectors (all >= 0) to nonzero coefficients.
+
+
+def _long_div(f, g, integral):
+    """The quotient f/g as a term dict, or None if g does not divide f
+    (over Z if `integral`, else over Q).
+
+    Long division by a single divisor in lex order; correct as an
+    exactness test because any nonzero remainder would have a leading
+    term divisible by the divisor's leading term.
+    """
+    g_lead = max(g)
+    g_lc = g[g_lead]
+    rest = [(e, c) for e, c in g.items() if e != g_lead]
+    quot = {}
+    rem = dict(f)
+    while rem:
+        lead = max(rem)
+        qe = tuple(map(sub, lead, g_lead))
+        if min(qe) < 0:
+            return None
+        if integral:
+            qc, r = divmod(rem.pop(lead), g_lc)
+            if r:
+                return None
+        else:
+            qc = _coeff(Fraction(rem.pop(lead), g_lc))
+        quot[qe] = qc
+        for e2, c2 in rest:
+            e = tuple(map(add, qe, e2))
+            s = rem.get(e, 0) - qc * c2
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return quot
+
+
+def _split(f, g, h):
+    """(h, f/h, g/h) if h divides f and g over Z, else None."""
+    if h:
+        cf = _long_div(f, h, True)
+        if cf is not None:
+            cg = _long_div(g, h, True)
+            if cg is not None:
+                return h, cf, cg
+    return None
+
+
+def _evaluate(p, i, x):
+    """p with variable i set to the integer x."""
+    out = {}
+    for e, c in p.items():
+        key = e[:i] + (0,) + e[i + 1:]
+        out[key] = out.get(key, 0) + c * x ** e[i]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h, i, x):
+    """Read the balanced base-x digits of each coefficient of h as the
+    coefficients of successive powers of variable i."""
+    out = {}
+    for e, c in h.items():
+        j = 0
+        while c:
+            d = c % x
+            if d > x // 2:
+                d -= x
+            if d:
+                out[e[:i] + (j,) + e[i + 1:]] = d
+            c = (c - d) // x
+            j += 1
+    return out
+
+
+def _heugcd(f, g):
+    """(h, f/h, g/h) for nonzero integer term dicts f and g, with h their
+    gcd over Z up to sign.
+
+    The heuristic gcd (Char, Geddes & Gonnet 1989; Liao & Fateman 1995):
+    the first variable in use is set to an integer xi, the gcd of the
+    images is taken recursively, and candidates are rebuilt from balanced
+    base-xi digits.  A candidate is accepted only if it divides both
+    inputs exactly; otherwise xi grows, for at most six tries.
+    """
+    c = gcd(*f.values(), *g.values())
+    f = {e: v // c for e, v in f.items()}
+    g = {e: v // c for e, v in g.items()}
+    used = [i for i in range(NVARS) if any(e[i] for e in f) or any(e[i] for e in g)]
+    if not used:
+        a, b = f[ZERO_EXP], g[ZERO_EXP]
+        h = gcd(a, b)
+        return {ZERO_EXP: h * c}, {ZERO_EXP: a // h}, {ZERO_EXP: b // h}
+    i = used[0]
+    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(fn, gn) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(fn // abs(f[max(f)]), gn // abs(g[max(g)])) + 4)
+    for _ in range(6):
+        ff, gg = _evaluate(f, i, x), _evaluate(g, i, x)
+        if ff and gg:
+            h, cf, cg = _heugcd(ff, gg)
+            h = _interpolate(h, i, x)
+            hc = gcd(*h.values())
+            found = (_split(f, g, {e: v // hc for e, v in h.items()})
+                     or _split(f, g, _long_div(f, _interpolate(cf, i, x), True))
+                     or _split(f, g, _long_div(g, _interpolate(cg, i, x), True)))
+            if found:
+                h, cf, cg = found
+                return {e: v * c for e, v in h.items()}, cf, cg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    raise ArithmeticError("heuristic gcd failed")
+
+
+def _integral(p):
+    """(m, m * p) with m the least common denominator of the coefficients."""
+    m = lcm(*(c.denominator for c in p.terms.values()))
+    return m, {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}
 
 
 class MPoly:
@@ -187,16 +310,9 @@ class MPoly:
                       for e, c in self.terms.items()})
 
     def exact_div(self, other):
-        """Exact quotient self/other as a Laurent polynomial, or None.
-
-        Long division by a single divisor in lex order; correct as an
-        exactness test because any nonzero remainder would have a leading
-        term divisible by the divisor's leading term.
-        """
+        """Exact quotient self/other as a Laurent polynomial, or None."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return MPoly()
         if other.is_monomial():
             ((e2, c2),) = other.terms.items()
             inv = tuple(-x for x in e2)
@@ -204,28 +320,11 @@ class MPoly:
                           for e, c in self.terms.items()})
         # shift both to honest polynomials; monomials are units here
         sf, sg = self.min_exponents(), other.min_exponents()
-        f = self.shift(tuple(-x for x in sf))
-        g = other.shift(tuple(-x for x in sg))
-        g_lead = max(g.terms)
-        g_lc = g.terms[g_lead]
-        quot = {}
-        rem = dict(f.terms)
-        while rem:
-            lead = max(rem)
-            if any(a < b for a, b in zip(lead, g_lead)):
-                return None
-            qe = tuple(a - b for a, b in zip(lead, g_lead))
-            qc = _coeff(Fraction(rem[lead], g_lc))
-            quot[qe] = quot.get(qe, 0) + qc
-            for e2, c2 in g.terms.items():
-                e = tuple(a + b for a, b in zip(qe, e2))
-                s = rem.get(e, 0) - qc * c2
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        q = MPoly(quot)
-        return q.shift(tuple(a - b for a, b in zip(sf, sg)))
+        quot = _long_div(self.shift(tuple(-x for x in sf)).terms,
+                         other.shift(tuple(-x for x in sg)).terms, False)
+        if quot is None:
+            return None
+        return MPoly(quot).shift(tuple(map(sub, sf, sg)))
 
     # -- text form ----------------------------------------------------------
 
@@ -262,18 +361,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.text()})"
-
-    # -- low-level poly-ring bridge (gcd cleanup only) -----------------------
-
-    def to_ring(self):
-        return _RING.from_dict(
-            {e: _QQ(c.numerator, c.denominator) for e, c in self.terms.items()})
-
-    @staticmethod
-    def from_ring(elem):
-        return MPoly({tuple(e): int(c.numerator) if c.denominator == 1
-                      else Fraction(int(c.numerator), int(c.denominator))
-                      for e, c in elem.terms()})
 
 
 class RatFunc:
@@ -426,7 +513,12 @@ class RatFunc:
     # -- cleanup and normal forms ---------------------------------------------
 
     def simplified(self):
-        """Cancel the gcd of num and den (sympy); semantics unchanged."""
+        """num/den in lowest terms; semantics unchanged.
+
+        Unless den is 1 or a monomial (folded into num), num and den are
+        integral with coprime contents, den has min exponents 0, and its
+        leading coefficient in lex order is positive.
+        """
         if self.num.is_zero():
             return RatFunc(MPoly(), MPoly.const(1))
         if self.den.is_one():
@@ -435,17 +527,19 @@ class RatFunc:
             return RatFunc(self.num.exact_div(self.den), MPoly.const(1))
         # monomials are units: shift to honest polynomials first
         sn, sd = self.num.min_exponents(), self.den.min_exponents()
-        num = self.num.shift(tuple(-x for x in sn))
-        den = self.den.shift(tuple(-x for x in sd))
-        n_elem, d_elem = num.to_ring().cancel(den.to_ring())
-        num2 = MPoly.from_ring(n_elem)
-        den2 = MPoly.from_ring(d_elem)
-        # reapply the net monomial shift
-        net = tuple(a - b for a, b in zip(sn, sd))
-        num2 = num2.shift(net)
-        if den2.is_monomial():
-            return RatFunc(num2.exact_div(den2), MPoly.const(1))
-        return RatFunc(num2, den2)
+        mn, f = _integral(self.num.shift(tuple(-x for x in sn)))
+        md, g = _integral(self.den.shift(tuple(-x for x in sd)))
+        _, f, g = _heugcd(f, g)
+        # num/den = (f * md) / (g * mn); mn shares no factor with the
+        # content of f, nor md with that of g.  The sign of c makes den's
+        # leading coefficient positive.
+        c = gcd(mn, md) * (1 if g[max(g)] > 0 else -1)
+        num = MPoly({e: v * (md // c) for e, v in f.items()})
+        den = MPoly({e: v * (mn // c) for e, v in g.items()})
+        num = num.shift(tuple(map(sub, sn, sd)))
+        if den.is_monomial():
+            return RatFunc(num.exact_div(den), MPoly.const(1))
+        return RatFunc(num, den)
 
     def as_mpoly(self):
         """The underlying Laurent polynomial, or None if genuinely rational."""
@@ -478,14 +572,9 @@ def u_to_q(f):
     """
     f = f.simplified()
     iu = VAR_INDEX["u"]
-
-    def flip(p):
-        return MPoly({e: (c if e[iu] % 2 == 0 else -c) for e, c in p.terms.items()})
-
-    num = f.num * flip(f.den)
-    den = f.den * flip(f.den)
-    # den is even in u by construction; f is even in u iff num is too
-    if any(e[iu] % 2 for e in num.terms):
+    # in lowest terms den has a u^0 term, so den(-u) = den: f is even in u
+    # iff every u-exponent of num and den is even
+    if any(e[iu] % 2 for p in (f.num, f.den) for e in p.terms):
         return f, False
 
     def rewrite(p):
@@ -498,7 +587,7 @@ def u_to_q(f):
             out[tuple(e2)] = out.get(tuple(e2), 0) + c
         return MPoly(out)
 
-    return RatFunc(rewrite(num), rewrite(den)).simplified(), True
+    return RatFunc(rewrite(f.num), rewrite(f.den)).simplified(), True
 
 
 # convenient generators

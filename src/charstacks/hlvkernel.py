@@ -56,8 +56,8 @@ def omega(m, k, N):
 
 def hlv_HH(mus, m):
     """HH_{mu,m}(z,w) = (z**2 - 1)(1 - w**2) <Plelog(Omega_m), h_mu>,
-    with Omega_m truncated at |lambda| <= max(|mu|, 1)."""
+    with Omega_m truncated at |lambda| <= |mu|."""
     mus = pt.check_multipartition(mus)
-    N = max(sum(mus[0]), 1)
+    N = sum(mus[0])
     paired = hall_pair_h(ple_log(omega(m, len(mus), N)), mus)
     return ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()

@@ -109,11 +109,13 @@ def hook_lengths(lam):
 
 
 def check_multipartition(mus):
-    """A multipartition: k >= 1 partitions of one common size."""
+    """A multipartition: k >= 1 partitions of one common size n >= 1."""
     mus = tuple(check_partition(mu) for mu in mus)
     if not mus:
         raise ValueError("multipartition needs at least one component")
     n = sum(mus[0])
+    if n == 0:
+        raise ValueError(f"components must have size >= 1: {mus}")
     if any(sum(mu) != n for mu in mus):
         raise ValueError(f"components must have equal size: {mus}")
     return mus

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +30,15 @@ def test_hlv_m_zero(capsys):
 def test_hlv_bad_partition(capsys):
     code, _, err = run(capsys, "hlv", "--mu", "(bogus", "--m", "2")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hlv", "--mu", "()", "--m", "1"],
+    ["eseries", "--nonorientable", "--r", "2", "--mu", "()"],
+])
+def test_empty_multipartition_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "size >= 1" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -232,3 +244,19 @@ def test_count_cap_checked_before_formula(capsys, monkeypatch):
     code, _, err = run(capsys, "count", "--nonorientable", "--r", "2",
                        "--n", "3", "--q", "13", "--zeta", "3")
     assert code == 3 and "cap" in err
+
+
+def test_runs_without_sympy():
+    """The package needs no sympy: a blocked import must not matter."""
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from charstacks.cli import main\n"
+        "assert main(['verify-counterexample', '--n', '3', '--d', '2']) == 0\n"
+        "assert main(['eseries', '--orientable', '--g', '2',\n"
+        "             '--mu', '(2,1)|(2,1)']) == 0\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -105,6 +105,12 @@ def test_multipartition_checks():
         pt.check_multipartition(((2,), (1,)))
 
 
+def test_multipartition_refuses_empty_components():
+    for empty in (((),), ((), ())):
+        with pytest.raises(ValueError, match="size >= 1"):
+            pt.check_multipartition(empty)
+
+
 def test_text_roundtrip():
     for lam in ((3, 1), (), (1, 1, 1)):
         assert pt.parse_partition(pt.partition_text(lam)) == lam
