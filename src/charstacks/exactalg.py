@@ -17,6 +17,22 @@ monomial den is folded into num.  The gcd is the heuristic gcd of Char,
 Geddes & Gonnet (1989; see also Liao & Fateman 1995) on integer term
 dicts, and a candidate is accepted only if it divides both inputs exactly.
 
+Large products and the gcd's exact divisions run on Kronecker
+substitution (Kronecker 1882; Fateman, "Can you save time in multiplying
+polynomials by encoding them as integers?", 2004/2010): a polynomial is
+shifted to its exponent box, laid out in mixed radix, and packed into one
+int with a balanced digit of 8k bits per position.  A product is one int
+product, with k from the exact bound 2*|f|*|g|*min(#f, #g) < 2**(8k); a
+rational operand has its denominators cleared by one lcm first.  An
+exact division is one `divmod`: a nonzero remainder proves that the
+divisor does not divide, and a quotient read from a zero remainder is
+accepted only with a certificate (it lies in the quotient's box, and its
+coefficient bound or its product with the divisor shows Q*g = f); else
+the width is doubled once, then long division decides.  Small inputs,
+and boxes much larger than their term count, keep the schoolbook loops,
+by a size rule on term counts and box size.  Both give the same term
+dicts.
+
 A coefficient is a plain `int` when it is integral and a
 `fractions.Fraction` only when it is not.  The entry points (`MPoly()`,
 `const`, `var`, `monomial`, `parse`, `exact_div`) normalise
@@ -31,9 +47,11 @@ reaching an entry point raises TypeError.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from operator import add, sub
+from itertools import compress, product, repeat
+from math import gcd, isqrt, lcm, prod
+from operator import add, gt, mul, sub
 
 VARS = ("z", "w", "q", "t", "u")
 NVARS = len(VARS)
@@ -57,9 +75,203 @@ def _coeff(c):
     return c.numerator if c.denominator == 1 else c
 
 
-# -- polynomials as term dicts: division and gcd ------------------------------
+# -- polynomials as term dicts: products and exact division -------------------
 #
-# A term dict maps exponent vectors (all >= 0) to nonzero coefficients.
+# A term dict maps exponent vectors to nonzero coefficients.
+
+
+def _school_mul(f, g):
+    """The product f*g of two term dicts, pair by pair."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _bounds(p):
+    """The least and greatest exponent of each variable in p."""
+    cols = list(zip(*p))
+    return tuple(map(min, cols)), tuple(map(max, cols))
+
+
+def _layout(spans):
+    """Strides of the mixed-radix layout of a box with these spans (the
+    last variable varies fastest), and the number of positions."""
+    strides = []
+    size = 1
+    for s in reversed(spans):
+        strides.append(size)
+        size *= s
+    return tuple(reversed(strides)), size
+
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _width(bound):
+    """Digit width in bytes, k, with bound < 2**(8k - 1); a width that
+    struct can read is preferred up to 8 bytes."""
+    k = (bound.bit_length() + 8) // 8
+    return next((w for w in _STRUCT_CODES if w >= k), k)
+
+
+def _from_digits(digits, k):
+    """The int whose base-2**(8k) digits, least significant first, are
+    `digits` (each in [0, 2**(8k)))."""
+    if k in _STRUCT_CODES:
+        data = struct.pack(f"<{len(digits)}{_STRUCT_CODES[k]}", *digits)
+    else:
+        data = b"".join(d.to_bytes(k, "little") for d in digits)
+    return int.from_bytes(data, "little")
+
+
+def _to_digits(n, size, k):
+    """The `size` base-2**(8k) digits of the int n; OverflowError unless
+    0 <= n < 2**(8k * size)."""
+    data = n.to_bytes(size * k, "little")
+    if k in _STRUCT_CODES:
+        return struct.unpack(f"<{size}{_STRUCT_CODES[k]}", data)
+    return [int.from_bytes(data[i:i + k], "little")
+            for i in range(0, size * k, k)]
+
+
+def _offset(size, k):
+    """The int with all `size` digits of width k equal to 2**(8k - 1);
+    adding it turns balanced digits into nonnegative ones."""
+    return int.from_bytes((1 << 8 * k - 1).to_bytes(k, "little") * size,
+                          "little")
+
+
+def _pack(p, lo, hi, strides, k):
+    """Kronecker substitution: the sum of c * 2**(8k * pos) over the terms
+    c*x^e of the integer term dict p, with lo <= e <= hi, where pos is the
+    position of e - lo in the layout.  Every |c| must be below
+    2**(8k - 1)."""
+    half = 1 << 8 * k - 1
+    size = sum(map(mul, map(sub, hi, lo), strides)) + 1
+    pos = repeat(-sum(map(mul, lo, strides)), len(p))
+    for col, s in zip(zip(*p), strides):
+        pos = map(add, pos, map(mul, col, repeat(s)))
+    at = dict(zip(pos, map(add, p.values(), repeat(half))))
+    digits = list(map(at.get, range(size), repeat(half)))
+    return _from_digits(digits, k) - _offset(size, k)
+
+
+def _unpack(n, lo, spans, size, k):
+    """The term dict whose packing into the box at lo with these spans is
+    n, read in balanced digits from its first `size` positions;
+    OverflowError if n has digits past them."""
+    half = 1 << 8 * k - 1
+    digits = _to_digits(n + _offset(size, k), size, k)
+    used = list(map(half.__ne__, digits))
+    exps = product(*map(range, lo, map(add, lo, spans)))
+    return dict(zip(compress(exps, used),
+                    map(sub, compress(digits, used), repeat(half))))
+
+
+def _kron_mul(f, g, bf, bg):
+    """f*g by Kronecker substitution, for term dicts with exponent bounds
+    bf and bg: both operands are packed into one int, with room in each
+    digit for every coefficient of the product, and the ints are
+    multiplied.  A rational operand has its denominators cleared first,
+    and the product is divided by them once."""
+    df, f = _integral(f)
+    dg, g = _integral(g)
+    (lf, hf), (lg, hg) = bf, bg
+    lo = tuple(map(add, lf, lg))
+    spans = tuple(map(lambda a, b, c: a + b - c + 1, hf, hg, lo))
+    strides, size = _layout(spans)
+    k = _width(max(map(abs, f.values())) * max(map(abs, g.values()))
+               * min(len(f), len(g)))
+    out = _unpack(_pack(f, lf, hf, strides, k) * _pack(g, lg, hg, strides, k),
+                  lo, spans, size, k)
+    d = df * dg
+    if d != 1:
+        out = {e: _coeff(Fraction(c, d)) for e, c in out.items()}
+    return out
+
+
+# When packing pays: below these sizes, or in a box much larger than the
+# terms that fill it, packing and unpacking cost more than the loops save.
+# A monomial factor only shifts and scales, which the loop does in one pass.
+MUL_MIN_PAIRS = 128
+DIV_MIN_DIVIDEND = 32
+
+
+def _mul(f, g):
+    """The product f*g of two term dicts."""
+    pairs = len(f) * len(g)
+    if pairs >= MUL_MIN_PAIRS and min(len(f), len(g)) > 1:
+        (lf, hf), (lg, hg) = bf, bg = _bounds(f), _bounds(g)
+        size = prod(map(lambda a, b, c, d: a + b - c - d + 1, hf, hg, lf, lg))
+        if size <= 4 * pairs + 64:
+            return _kron_mul(f, g, bf, bg)
+    return _school_mul(f, g)
+
+
+_UNDECIDED = object()
+
+
+def _kron_div(f, g, k):
+    """f/g for integer term dicts by Kronecker substitution with digits of
+    k bytes: the quotient, None if g does not divide f, or _UNDECIDED.
+
+    In lex order the leading term of a product is the product of the
+    leading terms, and in each variable the degrees add; these reject most
+    non-divisors at once.  Packing is a ring homomorphism, so a nonzero
+    remainder of the packed ints proves that g does not divide f.  On a
+    zero remainder the quotient's balanced digits give a candidate Q,
+    accepted only when Q*g = f is certain: Q lies in the quotient's
+    exponent box, so Q*g lies in f's and its packing is injective, and
+    either every coefficient of Q*g is below half a digit
+    (|Q|*|g|*min(#Q, #g) < 2**(8k - 1)) or the product Q*g equals f term
+    for term.
+    """
+    (lf, hf), (lg, hg) = _bounds(f), _bounds(g)
+    lo, hi = tuple(map(sub, lf, lg)), tuple(map(sub, hf, hg))
+    if any(map(gt, lo, hi)) or f[max(f)] % g[max(g)]:
+        return None
+    spans = tuple(map(lambda a, b: b - a + 1, lf, hf))
+    strides = _layout(spans)[0]
+    quot, rem = divmod(_pack(f, lf, hf, strides, k),
+                       _pack(g, lg, hg, strides, k))
+    if rem:
+        return None
+    try:
+        quot = _unpack(quot, lo, spans,
+                       sum(map(mul, map(sub, hi, lo), strides)) + 1, k)
+    except OverflowError:
+        return _UNDECIDED
+    if any(map(gt, map(max, zip(*quot)), hi)):
+        return _UNDECIDED
+    if (max(map(abs, quot.values())) * max(map(abs, g.values()))
+            * min(len(quot), len(g)) < 1 << 8 * k - 1
+            or _mul(quot, g) == f):
+        return quot
+    return _UNDECIDED
+
+
+def _div(f, g):
+    """The quotient f/g of integer term dicts over Z as a term dict, or
+    None if g does not divide f."""
+    if len(f) >= DIV_MIN_DIVIDEND:
+        lf, hf = _bounds(f)
+        if prod(map(lambda a, b: b - a + 1, lf, hf)) <= 8 * len(f) + 64:
+            # room for f, g and a quotient with coefficients up to those of
+            # f or g; widen once before falling back
+            gn = max(map(abs, g.values()))
+            k = _width(max(max(map(abs, f.values())), gn) * gn * len(g))
+            for width in (k, 2 * k):
+                quot = _kron_div(f, g, width)
+                if quot is not _UNDECIDED:
+                    return quot
+    return _long_div(f, g, True)
 
 
 def _long_div(f, g, integral):
@@ -100,9 +312,9 @@ def _long_div(f, g, integral):
 def _split(f, g, h):
     """(h, f/h, g/h) if h divides f and g over Z, else None."""
     if h:
-        cf = _long_div(f, h, True)
+        cf = _div(f, h)
         if cf is not None:
-            cg = _long_div(g, h, True)
+            cg = _div(g, h)
             if cg is not None:
                 return h, cf, cg
     return None
@@ -164,8 +376,8 @@ def _heugcd(f, g):
             h = _interpolate(h, i, x)
             hc = gcd(*h.values())
             found = (_split(f, g, {e: v // hc for e, v in h.items()})
-                     or _split(f, g, _long_div(f, _interpolate(cf, i, x), True))
-                     or _split(f, g, _long_div(g, _interpolate(cg, i, x), True)))
+                     or _split(f, g, _div(f, _interpolate(cf, i, x)))
+                     or _split(f, g, _div(g, _interpolate(cg, i, x))))
             if found:
                 h, cf, cg = found
                 return {e: v * c for e, v in h.items()}, cf, cg
@@ -174,9 +386,12 @@ def _heugcd(f, g):
 
 
 def _integral(p):
-    """(m, m * p) with m the least common denominator of the coefficients."""
-    m = lcm(*(c.denominator for c in p.terms.values()))
-    return m, {e: c.numerator * (m // c.denominator) for e, c in p.terms.items()}
+    """(m, m * p) for a term dict p, with m the least common denominator
+    of the coefficients."""
+    if all(type(c) is int for c in p.values()):
+        return 1, p
+    m = lcm(*(c.denominator for c in p.values()))
+    return m, {e: c.numerator * (m // c.denominator) for e, c in p.items()}
 
 
 class MPoly:
@@ -248,17 +463,8 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
         res = MPoly.__new__(MPoly)
-        res.terms = out
+        res.terms = _mul(self.terms, other.terms)
         return res
 
     __rmul__ = __mul__
@@ -527,8 +733,8 @@ class RatFunc:
             return RatFunc(self.num.exact_div(self.den), MPoly.const(1))
         # monomials are units: shift to honest polynomials first
         sn, sd = self.num.min_exponents(), self.den.min_exponents()
-        mn, f = _integral(self.num.shift(tuple(-x for x in sn)))
-        md, g = _integral(self.den.shift(tuple(-x for x in sd)))
+        mn, f = _integral(self.num.shift(tuple(-x for x in sn)).terms)
+        md, g = _integral(self.den.shift(tuple(-x for x in sd)).terms)
         _, f, g = _heugcd(f, g)
         # num/den = (f * md) / (g * mn); mn shares no factor with the
         # content of f, nor md with that of g.  The sign of c makes den's

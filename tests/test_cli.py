@@ -113,6 +113,20 @@ def test_count_nongeneric_refused(capsys):
     assert code == 2 and out == "" and "not generic" in err
 
 
+@pytest.mark.parametrize("q, message", [
+    (0, "q must be an odd prime <= 13: 0"),
+    (2, "q must be an odd prime <= 13: 2"),
+    (4, "q must be prime: 4"),
+])
+def test_count_bad_field_refused(capsys, q, message):
+    # the field is checked before the orbit's genericity, which computes
+    # mod q: q = 4 used to end in a KeyError (exit 1), q = 0 in a modulo
+    # by zero and q = 2 in a non-generic verdict
+    code, out, err = run(capsys, "count", "--nonorientable", "--r", "2",
+                         "--n", "2", "--zeta", "-1", "--q", str(q))
+    assert code == 2 and out == "" and message in err
+
+
 def test_json_deterministic(capsys):
     args = ["eseries", "--nonorientable", "--r", "2", "--mu", "(2)"]
     main(args)

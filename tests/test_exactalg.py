@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from charstacks import exactalg as ea
 from charstacks.exactalg import (MPoly, RatFunc, u_to_q, ONE, ZERO, Z, W, Q,
                                 T, U)
 
@@ -299,3 +300,128 @@ def test_simplified_matches_sympy_cancel():
             (expected.num.terms, expected.den.terms), f
         assert _stored_form(got.num) and _stored_form(got.den)
         checked += 1
+    # factors of 15-40 terms, so that products and the gcd's exact
+    # divisions are large enough to be packed
+    checked = 0
+    while checked < 100:
+        used = rng.sample(range(5), rng.randint(2, 3))
+        a, b, common = (_random_laurent(rng, used, rng.randint(15, 40))
+                        for _ in range(3))
+        if b.is_zero() or common.is_zero() or (b * common).is_monomial():
+            continue
+        f = RatFunc(a * common, b * common * rng.choice((1, -3, 1000003)))
+        got, expected = f.simplified(), _sympy_simplified(f)
+        assert (got.num.terms, got.den.terms) == \
+            (expected.num.terms, expected.den.terms), f
+        assert _stored_form(got.num) and _stored_form(got.den)
+        checked += 1
+
+
+# -- packed products and divisions against the loops they replace ------------
+
+def _random_terms(rng, nterms, lo, spans, bits, rational):
+    p = {}
+    while len(p) < nterms:
+        e = tuple(a + rng.randrange(s) for a, s in zip(lo, spans))
+        c = rng.randint(-2 ** bits, 2 ** bits) or 1
+        p[e] = Fraction(c, rng.choice((1, 2, 3, 7, 12))) if rational else c
+    return p
+
+
+def test_packed_product_matches_schoolbook(monkeypatch):
+    school = ea._school_mul
+    fallbacks = []
+    monkeypatch.setattr(ea, "_school_mul",
+                        lambda f, g: fallbacks.append(1) or school(f, g))
+    rng = random.Random(37)
+    for bits in (3, 12, 28, 60, 70, 200):
+        for rational in (False, True):
+            # negative exponents in all five variables, and a product box
+            # small enough for the size rule
+            f, g = (_random_terms(rng, rng.randint(30, 40),
+                                  [rng.randint(-4, -1) for _ in range(5)],
+                                  (3,) * 5, bits, rational) for _ in range(2))
+            got = MPoly(f) * MPoly(g)
+            assert not fallbacks, (bits, rational)
+            assert got.terms == school(f, g)
+            assert _stored_form(got)
+            # equal coefficients of one sign: the product's coefficients
+            # come near the bound that the digit width is taken from
+            f, g = {e: 2 ** bits for e in f}, {e: -2 ** bits for e in g}
+            assert ea._mul(f, g) == school(f, g) and not fallbacks
+    # 20 x 20 terms spread over a box of 101**3 positions: too sparse to pack
+    f, g = (_random_terms(rng, 20, (0, -50, 0, 0, 0), (51, 51, 51, 1, 1), 70,
+                          False) for _ in range(2))
+    assert ea._mul(f, g) == school(f, g) and fallbacks
+
+
+def _recording_kron_div(monkeypatch):
+    """Record the result of every packed division attempt."""
+    kron_div = ea._kron_div
+    results = []
+
+    def wrapper(f, g, k):
+        results.append(kron_div(f, g, k))
+        return results[-1]
+
+    monkeypatch.setattr(ea, "_kron_div", wrapper)
+    return results
+
+
+def _univariate(coeffs, var=0):
+    return {tuple(i if j == var else 0 for j in range(5)): c
+            for i, c in enumerate(coeffs) if c}
+
+
+def _power(p, n):
+    out = {(0,) * 5: 1}
+    for _ in range(n):
+        out = ea._school_mul(out, p)
+    return out
+
+
+def test_packed_division_divisor_larger_than_dividend(monkeypatch):
+    # g's coefficients exceed f's, so the digit width must come from g too
+    results = _recording_kron_div(monkeypatch)
+    g = _power(_univariate([1, 1]), 40)
+    q = _power(_univariate([-1, 1]), 6)
+    f = ea._school_mul(q, g)
+    assert max(map(abs, g.values())) > max(map(abs, f.values()))
+    assert ea._div(f, g) == ea._long_div(f, g, True) == q
+    assert results and results[0] == q
+
+
+def test_packed_division_quotient_larger_than_dividend(monkeypatch):
+    # (x + 1)^k (x - 1)^7 / (x - 1)^7: the quotient's coefficients outgrow
+    # the first digit width, so the widened one must give it
+    results = _recording_kron_div(monkeypatch)
+    g = _power(_univariate([-1, 1]), 7)
+    q = _power(_univariate([1, 1]), 100)
+    f = ea._school_mul(q, g)
+    assert ea._div(f, g) == ea._long_div(f, g, True) == q
+    assert results[0] is ea._UNDECIDED and results[1] == q
+
+
+def test_packed_division_rejects_non_divisors(monkeypatch):
+    results = _recording_kron_div(monkeypatch)
+    rng = random.Random(41)
+    g = _random_terms(rng, 12, (0,) * 5, (4, 4, 1, 1, 1), 20, False)
+    f = ea._school_mul(
+        _random_terms(rng, 30, (0,) * 5, (6, 6, 1, 1, 1), 20, False), g)
+    quot = ea._long_div(f, g, True)
+    assert quot is not None and ea._div(f, g) == quot == results[0]
+    f[min(f)] += 1
+    assert ea._div(f, g) is ea._long_div(f, g, True) is None
+    assert results[-1] is None
+    # A zero remainder of the packed ints does not prove divisibility.
+    # With x = u and y = z, P(x) = 4095 (1 + x + ... + x^15) + 15 x^16 and
+    # H(y) = 1 + y + y^2 + y^3, the divisor g = (x - 1) H(y) does not divide
+    # f = P(x) H(y), since P(1) != 0.  But both have 16-bit digits, y packs
+    # as X^17 and x as X = 2^16, so X - 1 = P(1) divides the packed f.
+    h = {(i, 0, 0, 0, 0): 1 for i in range(4)}
+    p = _univariate([4095] * 16 + [15], var=4)
+    g = ea._school_mul(_univariate([-1, 1], var=4), h)
+    f = ea._school_mul(p, h)
+    del results[:]
+    assert ea._div(f, g) is ea._long_div(f, g, True) is None
+    assert results[0] is ea._UNDECIDED and results[-1] is None

@@ -48,6 +48,13 @@ def test_HH_single_box_two_alphabets():
         assert hlv_HH(((1,), (1,)), m) == (Z - W) ** m
 
 
+def test_HH_one_row_m2():
+    # HH_{(n),2} = (z - w)^2, the identity behind the counterexample's
+    # verdicts; at n = 1 it is test_HH_single_box
+    for n in (2, 3, 4):
+        assert hlv_HH(((n,),), 2) == (Z - W) ** 2, n
+
+
 def test_HH_polynomiality_even_m():
     for mus in (((1,),), ((2,),), ((1, 1),), ((1,), (1,))):
         for m in (0, 2):
