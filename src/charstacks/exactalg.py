@@ -111,6 +111,9 @@ def _layout(spans):
     return tuple(reversed(strides)), size
 
 
+# Digits of these widths convert in one `struct` call, not one `int` call
+# per digit; rounding k up to one of them costs less than the per-digit
+# calls save (measured end to end in CHANGES.md).
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -218,9 +221,10 @@ def _mul(f, g):
 _UNDECIDED = object()
 
 
-def _kron_div(f, g, k):
-    """f/g for integer term dicts by Kronecker substitution with digits of
-    k bytes: the quotient, None if g does not divide f, or _UNDECIDED.
+def _kron_div(f, g, bf, bg, k):
+    """f/g for integer term dicts with exponent bounds bf and bg by
+    Kronecker substitution with digits of k bytes: the quotient, None if g
+    does not divide f, or _UNDECIDED.
 
     In lex order the leading term of a product is the product of the
     leading terms, and in each variable the degrees add; these reject most
@@ -233,7 +237,7 @@ def _kron_div(f, g, k):
     (|Q|*|g|*min(#Q, #g) < 2**(8k - 1)) or the product Q*g equals f term
     for term.
     """
-    (lf, hf), (lg, hg) = _bounds(f), _bounds(g)
+    (lf, hf), (lg, hg) = bf, bg
     lo, hi = tuple(map(sub, lf, lg)), tuple(map(sub, hf, hg))
     if any(map(gt, lo, hi)) or f[max(f)] % g[max(g)]:
         return None
@@ -261,14 +265,15 @@ def _div(f, g):
     """The quotient f/g of integer term dicts over Z as a term dict, or
     None if g does not divide f."""
     if len(f) >= DIV_MIN_DIVIDEND:
-        lf, hf = _bounds(f)
+        bf = lf, hf = _bounds(f)
         if prod(map(lambda a, b: b - a + 1, lf, hf)) <= 8 * len(f) + 64:
+            bg = _bounds(g)
             # room for f, g and a quotient with coefficients up to those of
             # f or g; widen once before falling back
             gn = max(map(abs, g.values()))
             k = _width(max(max(map(abs, f.values())), gn) * gn * len(g))
             for width in (k, 2 * k):
-                quot = _kron_div(f, g, width)
+                quot = _kron_div(f, g, bf, bg, width)
                 if quot is not _UNDECIDED:
                     return quot
     return _long_div(f, g, True)

@@ -360,8 +360,8 @@ def _recording_kron_div(monkeypatch):
     kron_div = ea._kron_div
     results = []
 
-    def wrapper(f, g, k):
-        results.append(kron_div(f, g, k))
+    def wrapper(*args):
+        results.append(kron_div(*args))
         return results[-1]
 
     monkeypatch.setattr(ea, "_kron_div", wrapper)
