@@ -14,24 +14,22 @@ only where a caller asks.  A reduced value has one stored form: num and den
 have integer coefficients with coprime contents, den has min exponents 0
 and a positive leading coefficient in lex order on (z, w, q, t, u), and a
 monomial den is folded into num.  The gcd is the heuristic gcd of Char,
-Geddes & Gonnet (1989; see also Liao & Fateman 1995) on integer term
-dicts, and a candidate is accepted only if it divides both inputs exactly.
+Geddes & Gonnet (1989; Geddes, Czapor & Labahn 1992, section 7.7) on
+integer term dicts.  It evaluates at powers of two and reads the gcd and
+both cofactors from their images; its one certificate is that the gcd
+times each cofactor gives back the input, which by the theorem proves the
+candidate is the gcd.  There is no polynomial long division: the
+quotient by a non-monomial is read from the reduced fraction.
 
-Large products and the gcd's exact divisions run on Kronecker
-substitution (Kronecker 1882; Fateman, "Can you save time in multiplying
-polynomials by encoding them as integers?", 2004/2010): a polynomial is
-shifted to its exponent box, laid out in mixed radix, and packed into one
-int with a balanced digit of 8k bits per position.  A product is one int
-product, with k from the exact bound 2*|f|*|g|*min(#f, #g) < 2**(8k); a
-rational operand has its denominators cleared by one lcm first.  An
-exact division is one `divmod`: a nonzero remainder proves that the
-divisor does not divide, and a quotient read from a zero remainder is
-accepted only with a certificate (it lies in the quotient's box, and its
-coefficient bound or its product with the divisor shows Q*g = f); else
-the width is doubled once, then long division decides.  Small inputs,
-and boxes much larger than their term count, keep the schoolbook loops,
-by a size rule on term counts and box size.  Both give the same term
-dicts.
+Large products run on Kronecker substitution (Kronecker 1882; Fateman,
+"Can you save time in multiplying polynomials by encoding them as
+integers?", 2004/2010): a polynomial is shifted to its exponent box, laid
+out in mixed radix, and packed into one int with a balanced digit of 8k
+bits per position.  A product is one int product, with k from the exact
+bound 2*|f|*|g|*min(#f, #g) < 2**(8k); a rational operand has its
+denominators cleared by one lcm first.  Small inputs, and boxes much
+larger than their term count, keep the schoolbook loop, by a size rule
+on term counts and box size.  Both give the same term dicts.
 
 A coefficient is a plain `int` when it is integral and a
 `fractions.Fraction` only when it is not.  The entry points (`MPoly()`,
@@ -50,8 +48,8 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from itertools import compress, product, repeat
-from math import gcd, isqrt, lcm, prod
-from operator import add, gt, mul, sub
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 
 VARS = ("z", "w", "q", "t", "u")
 NVARS = len(VARS)
@@ -75,7 +73,7 @@ def _coeff(c):
     return c.numerator if c.denominator == 1 else c
 
 
-# -- polynomials as term dicts: products and exact division -------------------
+# -- polynomials as term dicts: products and the gcd ---------------------------
 #
 # A term dict maps exponent vectors to nonzero coefficients.
 
@@ -200,11 +198,10 @@ def _kron_mul(f, g, bf, bg):
     return out
 
 
-# When packing pays: below these sizes, or in a box much larger than the
+# When packing pays: below this size, or in a box much larger than the
 # terms that fill it, packing and unpacking cost more than the loops save.
 # A monomial factor only shifts and scales, which the loop does in one pass.
 MUL_MIN_PAIRS = 128
-DIV_MIN_DIVIDEND = 32
 
 
 def _mul(f, g):
@@ -218,175 +215,70 @@ def _mul(f, g):
     return _school_mul(f, g)
 
 
-_UNDECIDED = object()
-
-
-def _kron_div(f, g, bf, bg, k):
-    """f/g for integer term dicts with exponent bounds bf and bg by
-    Kronecker substitution with digits of k bytes: the quotient, None if g
-    does not divide f, or _UNDECIDED.
-
-    In lex order the leading term of a product is the product of the
-    leading terms, and in each variable the degrees add; these reject most
-    non-divisors at once.  Packing is a ring homomorphism, so a nonzero
-    remainder of the packed ints proves that g does not divide f.  On a
-    zero remainder the quotient's balanced digits give a candidate Q,
-    accepted only when Q*g = f is certain: Q lies in the quotient's
-    exponent box, so Q*g lies in f's and its packing is injective, and
-    either every coefficient of Q*g is below half a digit
-    (|Q|*|g|*min(#Q, #g) < 2**(8k - 1)) or the product Q*g equals f term
-    for term.
-    """
-    (lf, hf), (lg, hg) = bf, bg
-    lo, hi = tuple(map(sub, lf, lg)), tuple(map(sub, hf, hg))
-    if any(map(gt, lo, hi)) or f[max(f)] % g[max(g)]:
-        return None
-    spans = tuple(map(lambda a, b: b - a + 1, lf, hf))
-    strides = _layout(spans)[0]
-    quot, rem = divmod(_pack(f, lf, hf, strides, k),
-                       _pack(g, lg, hg, strides, k))
-    if rem:
-        return None
-    try:
-        quot = _unpack(quot, lo, spans,
-                       sum(map(mul, map(sub, hi, lo), strides)) + 1, k)
-    except OverflowError:
-        return _UNDECIDED
-    if any(map(gt, map(max, zip(*quot)), hi)):
-        return _UNDECIDED
-    if (max(map(abs, quot.values())) * max(map(abs, g.values()))
-            * min(len(quot), len(g)) < 1 << 8 * k - 1
-            or _mul(quot, g) == f):
-        return quot
-    return _UNDECIDED
-
-
-def _div(f, g):
-    """The quotient f/g of integer term dicts over Z as a term dict, or
-    None if g does not divide f."""
-    if len(f) >= DIV_MIN_DIVIDEND:
-        bf = lf, hf = _bounds(f)
-        if prod(map(lambda a, b: b - a + 1, lf, hf)) <= 8 * len(f) + 64:
-            bg = _bounds(g)
-            # room for f, g and a quotient with coefficients up to those of
-            # f or g; widen once before falling back
-            gn = max(map(abs, g.values()))
-            k = _width(max(max(map(abs, f.values())), gn) * gn * len(g))
-            for width in (k, 2 * k):
-                quot = _kron_div(f, g, bf, bg, width)
-                if quot is not _UNDECIDED:
-                    return quot
-    return _long_div(f, g, True)
-
-
-def _long_div(f, g, integral):
-    """The quotient f/g as a term dict, or None if g does not divide f
-    (over Z if `integral`, else over Q).
-
-    Long division by a single divisor in lex order; correct as an
-    exactness test because any nonzero remainder would have a leading
-    term divisible by the divisor's leading term.
-    """
-    g_lead = max(g)
-    g_lc = g[g_lead]
-    rest = [(e, c) for e, c in g.items() if e != g_lead]
-    quot = {}
-    rem = dict(f)
-    while rem:
-        lead = max(rem)
-        qe = tuple(map(sub, lead, g_lead))
-        if min(qe) < 0:
-            return None
-        if integral:
-            qc, r = divmod(rem.pop(lead), g_lc)
-            if r:
-                return None
-        else:
-            qc = _coeff(Fraction(rem.pop(lead), g_lc))
-        quot[qe] = qc
-        for e2, c2 in rest:
-            e = tuple(map(add, qe, e2))
-            s = rem.get(e, 0) - qc * c2
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return quot
-
-
-def _split(f, g, h):
-    """(h, f/h, g/h) if h divides f and g over Z, else None."""
-    if h:
-        cf = _div(f, h)
-        if cf is not None:
-            cg = _div(g, h)
-            if cg is not None:
-                return h, cf, cg
-    return None
-
-
-def _evaluate(p, i, x):
-    """p with variable i set to the integer x."""
+def _evaluate(p, i, b):
+    """p with variable i set to 2**b."""
     out = {}
     for e, c in p.items():
         key = e[:i] + (0,) + e[i + 1:]
-        out[key] = out.get(key, 0) + c * x ** e[i]
-    return {e: c for e, c in out.items() if c}
+        out[key] = out.get(key, 0) + (c << b * e[i])
+    return out
 
 
-def _interpolate(h, i, x):
-    """Read the balanced base-x digits of each coefficient of h as the
+def _interpolate(h, i, b):
+    """Read the balanced base-2**b digits of each coefficient of h as the
     coefficients of successive powers of variable i."""
+    mask, half, x = (1 << b) - 1, 1 << b - 1, 1 << b
     out = {}
     for e, c in h.items():
         j = 0
         while c:
-            d = c % x
-            if d > x // 2:
+            d = c & mask
+            if d > half:
                 d -= x
             if d:
                 out[e[:i] + (j,) + e[i + 1:]] = d
-            c = (c - d) // x
+            c = (c - d) >> b
             j += 1
     return out
 
 
 def _heugcd(f, g):
-    """(h, f/h, g/h) for nonzero integer term dicts f and g, with h their
-    gcd over Z up to sign.
+    """(h, f/h, g/h) for nonzero integer term dicts f and g with
+    nonnegative exponents, with h their gcd over Z up to sign.
 
-    The heuristic gcd (Char, Geddes & Gonnet 1989; Liao & Fateman 1995):
-    the first variable in use is set to an integer xi, the gcd of the
-    images is taken recursively, and candidates are rebuilt from balanced
-    base-xi digits.  A candidate is accepted only if it divides both
-    inputs exactly; otherwise xi grows, for at most six tries.
+    The heuristic gcd (Char, Geddes & Gonnet 1989; Geddes, Czapor &
+    Labahn 1992, section 7.7): the first variable in use is set to
+    xi = 2**b, the gcd of the images and their cofactors are taken
+    recursively, and h and the cofactors are read from balanced base-xi
+    digits, h with its content divided out.  By the theorem, a primitive
+    h so read is the gcd once it divides f and g and
+    xi >= 2 * min(|f|, |g|) + 2 (|.| the largest coefficient); the first
+    b makes xi > 4 * max(|f|, |g|).  The only certificate is the two
+    products h * (f/h) = f and h * (g/h) = g; if either fails, b doubles,
+    for at most six tries.
     """
-    c = gcd(*f.values(), *g.values())
-    f = {e: v // c for e, v in f.items()}
-    g = {e: v // c for e, v in g.items()}
     used = [i for i in range(NVARS) if any(e[i] for e in f) or any(e[i] for e in g)]
     if not used:
         a, b = f[ZERO_EXP], g[ZERO_EXP]
         h = gcd(a, b)
-        return {ZERO_EXP: h * c}, {ZERO_EXP: a // h}, {ZERO_EXP: b // h}
+        return {ZERO_EXP: h}, {ZERO_EXP: a // h}, {ZERO_EXP: b // h}
+    c = gcd(*f.values(), *g.values())
+    if c != 1:
+        f = {e: v // c for e, v in f.items()}
+        g = {e: v // c for e, v in g.items()}
     i = used[0]
-    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
-    bound = 2 * min(fn, gn) + 29
-    x = max(min(bound, 99 * isqrt(bound)),
-            2 * min(fn // abs(f[max(f)]), gn // abs(g[max(g)])) + 4)
+    b = max(*map(abs, f.values()), *map(abs, g.values())).bit_length() + 2
     for _ in range(6):
-        ff, gg = _evaluate(f, i, x), _evaluate(g, i, x)
-        if ff and gg:
-            h, cf, cg = _heugcd(ff, gg)
-            h = _interpolate(h, i, x)
-            hc = gcd(*h.values())
-            found = (_split(f, g, {e: v // hc for e, v in h.items()})
-                     or _split(f, g, _div(f, _interpolate(cf, i, x)))
-                     or _split(f, g, _div(g, _interpolate(cg, i, x))))
-            if found:
-                h, cf, cg = found
-                return {e: v * c for e, v in h.items()}, cf, cg
-        x = 73794 * x * isqrt(isqrt(x)) // 27011
+        # xi > 2 * |f|, so no image vanishes
+        h, cf, cg = _heugcd(_evaluate(f, i, b), _evaluate(g, i, b))
+        h = _interpolate(h, i, b)
+        hc = gcd(*h.values())
+        h = {e: v // hc for e, v in h.items()}
+        cf = _interpolate({e: v * hc for e, v in cf.items()}, i, b)
+        cg = _interpolate({e: v * hc for e, v in cg.items()}, i, b)
+        if _mul(h, cf) == f and _mul(h, cg) == g:
+            return {e: v * c for e, v in h.items()}, cf, cg
+        b *= 2
     raise ArithmeticError("heuristic gcd failed")
 
 
@@ -517,8 +409,11 @@ class MPoly:
         return tuple(min(e[i] for e in self.terms) for i in range(NVARS))
 
     def shift(self, delta):
-        return MPoly({tuple(map(add, e, delta)): c
-                      for e, c in self.terms.items()})
+        """self times the monomial x^delta; coefficients are kept as
+        they are."""
+        res = MPoly.__new__(MPoly)
+        res.terms = {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
+        return res
 
     def exact_div(self, other):
         """Exact quotient self/other as a Laurent polynomial, or None."""
@@ -529,13 +424,8 @@ class MPoly:
             inv = tuple(-x for x in e2)
             return MPoly({tuple(a + b for a, b in zip(e, inv)): Fraction(c, c2)
                           for e, c in self.terms.items()})
-        # shift both to honest polynomials; monomials are units here
-        sf, sg = self.min_exponents(), other.min_exponents()
-        quot = _long_div(self.shift(tuple(-x for x in sf)).terms,
-                         other.shift(tuple(-x for x in sg)).terms, False)
-        if quot is None:
-            return None
-        return MPoly(quot).shift(tuple(map(sub, sf, sg)))
+        red = RatFunc(self, other).simplified()
+        return red.num if red.den.is_one() else None
 
     # -- text form ----------------------------------------------------------
 

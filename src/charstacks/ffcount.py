@@ -362,10 +362,12 @@ def _estimate_cost(n, q, steps):
 
 
 def check_size(copies, k, q, n, cost_cap=DEFAULT_COST_CAP):
-    """Raise EnumerationTooLarge, before any work, for a count of `copies`
-    factors (D_i, or commutator pairs) and k orbits in GL_n(F_q) that is
-    too large to run."""
+    """Raise ValueError for n outside 1..3, and EnumerationTooLarge for a
+    count of `copies` factors (D_i, or commutator pairs) and k orbits in
+    GL_n(F_q) that is too large to run, both before any work."""
     _check_field(q)
+    if not 1 <= n <= 3:
+        raise ValueError(f"n <= 3 only: {n}")
     est = _estimate_cost(n, q, copies + k)
     if est > cost_cap:
         raise EnumerationTooLarge(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,20 @@ def test_series_stdout_pinned(capsys, argv, expected):
     assert out == expected
 
 
+# sha256 of stdout for the largest stored forms the CLI prints: the
+# genus-2 E-series and the r = 4 mixed series for (2,1)|(2,1)
+@pytest.mark.parametrize("argv, digest", [
+    (["eseries", "--orientable", "--g", "2"],
+     "1e6bc49ea6155c9b0b9c2f2fa635cb0c3e4166b85ab6963e5e8693c748db43f3"),
+    (["mixed", "--nonorientable", "--r", "4"],
+     "865ecac65d59d29d0a6415961cf54773a741bcb2eab8be0b77c5652a237fba31"),
+], ids=["eseries-g2-21-21", "mixed-r4-21-21"])
+def test_large_series_stdout_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv, "--mu", "(2,1)|(2,1)")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_count_gl3_guard_names_itself(capsys):
     # the guard on enumerating GL_3(F_q), q > 3, is not the user's cap
     code, out, err = run(capsys, "count", "--nonorientable", "--r", "1",
@@ -258,6 +273,20 @@ def test_count_cap_checked_before_formula(capsys, monkeypatch):
     code, _, err = run(capsys, "count", "--nonorientable", "--r", "2",
                        "--n", "3", "--q", "13", "--zeta", "3")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("cap", [[], ["--cap", "1e40"]],
+                         ids=["default-cap", "cap-1e40"])
+def test_count_n4_refused_as_usage(capsys, monkeypatch, cap):
+    # n outside 1..3 is a usage error, found before the cost estimate and
+    # before the formula, whatever the cap
+    def no_formula(*args, **kwargs):
+        raise AssertionError("the formula was computed for a refused count")
+
+    monkeypatch.setattr("charstacks.charstack.eseries", no_formula)
+    code, out, err = run(capsys, "count", "--nonorientable", "--r", "2",
+                         "--n", "4", "--zeta", "2", "--q", "5", *cap)
+    assert code == 2 and out == "" and "n <= 3" in err
 
 
 def test_runs_without_sympy():

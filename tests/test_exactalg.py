@@ -355,19 +355,6 @@ def test_packed_product_matches_schoolbook(monkeypatch):
     assert ea._mul(f, g) == school(f, g) and fallbacks
 
 
-def _recording_kron_div(monkeypatch):
-    """Record the result of every packed division attempt."""
-    kron_div = ea._kron_div
-    results = []
-
-    def wrapper(*args):
-        results.append(kron_div(*args))
-        return results[-1]
-
-    monkeypatch.setattr(ea, "_kron_div", wrapper)
-    return results
-
-
 def _univariate(coeffs, var=0):
     return {tuple(i if j == var else 0 for j in range(5)): c
             for i, c in enumerate(coeffs) if c}
@@ -380,48 +367,58 @@ def _power(p, n):
     return out
 
 
-def test_packed_division_divisor_larger_than_dividend(monkeypatch):
-    # g's coefficients exceed f's, so the digit width must come from g too
-    results = _recording_kron_div(monkeypatch)
+# -- the heuristic gcd on inputs that stress its digit width -----------------
+
+def test_gcd_cofactor_outgrows_first_width(monkeypatch):
+    # (z + 1)^100 (z - 1)^7 / (z - 1)^7: the cofactor's coefficients exceed
+    # the dividend's, so xi = 2**88 from the dividend cannot hold them and
+    # the product check fails until b doubles
+    widths = []
+    evaluate = ea._evaluate
+    monkeypatch.setattr(ea, "_evaluate",
+                        lambda p, i, b: widths.append(b) or evaluate(p, i, b))
+    g = _power(_univariate([-1, 1]), 7)
+    q = _power(_univariate([1, 1]), 100)
+    f = ea._school_mul(q, g)
+    assert max(map(abs, f.values())).bit_length() == 86
+    red = RatFunc(MPoly(f), MPoly(g)).simplified()
+    assert widths == [88, 88, 176, 176]
+    assert (red.num.terms, red.den) == (q, MPoly.const(1))
+
+
+def test_gcd_divisor_larger_than_dividend():
+    # g's coefficients exceed f's, so the evaluation point must come from
+    # the larger of the two
     g = _power(_univariate([1, 1]), 40)
     q = _power(_univariate([-1, 1]), 6)
     f = ea._school_mul(q, g)
     assert max(map(abs, g.values())) > max(map(abs, f.values()))
-    assert ea._div(f, g) == ea._long_div(f, g, True) == q
-    assert results and results[0] == q
+    red = RatFunc(MPoly(f), MPoly(g)).simplified()
+    assert (red.num.terms, red.den) == (q, MPoly.const(1))
+    red = RatFunc(MPoly(g), MPoly(f)).simplified()
+    assert (red.num, red.den.terms) == (MPoly.const(1), q)
 
 
-def test_packed_division_quotient_larger_than_dividend(monkeypatch):
-    # (x + 1)^k (x - 1)^7 / (x - 1)^7: the quotient's coefficients outgrow
-    # the first digit width, so the widened one must give it
-    results = _recording_kron_div(monkeypatch)
-    g = _power(_univariate([-1, 1]), 7)
-    q = _power(_univariate([1, 1]), 100)
-    f = ea._school_mul(q, g)
-    assert ea._div(f, g) == ea._long_div(f, g, True) == q
-    assert results[0] is ea._UNDECIDED and results[1] == q
-
-
-def test_packed_division_rejects_non_divisors(monkeypatch):
-    results = _recording_kron_div(monkeypatch)
+def test_gcd_keeps_non_divisors():
     rng = random.Random(41)
     g = _random_terms(rng, 12, (0,) * 5, (4, 4, 1, 1, 1), 20, False)
-    f = ea._school_mul(
-        _random_terms(rng, 30, (0,) * 5, (6, 6, 1, 1, 1), 20, False), g)
-    quot = ea._long_div(f, g, True)
-    assert quot is not None and ea._div(f, g) == quot == results[0]
+    q = _random_terms(rng, 30, (0,) * 5, (6, 6, 1, 1, 1), 20, False)
+    f = ea._school_mul(q, g)
+    red = RatFunc(MPoly(f), MPoly(g)).simplified()
+    assert (red.num.terms, red.den) == (q, MPoly.const(1))
+    # f plus a monomial shares only a monomial, a unit here, with g
     f[min(f)] += 1
-    assert ea._div(f, g) is ea._long_div(f, g, True) is None
-    assert results[-1] is None
-    # A zero remainder of the packed ints does not prove divisibility.
+    red = RatFunc(MPoly(f), MPoly(g)).simplified()
+    assert red == RatFunc(MPoly(f), MPoly(g))
+    assert (len(red.num.terms), len(red.den.terms)) == (len(f), len(g))
     # With x = u and y = z, P(x) = 4095 (1 + x + ... + x^15) + 15 x^16 and
-    # H(y) = 1 + y + y^2 + y^3, the divisor g = (x - 1) H(y) does not divide
-    # f = P(x) H(y), since P(1) != 0.  But both have 16-bit digits, y packs
-    # as X^17 and x as X = 2^16, so X - 1 = P(1) divides the packed f.
+    # H(y) = 1 + y + y^2 + y^3, the divisor (x - 1) H(y) does not divide
+    # P(x) H(y), since P(1) != 0, yet packed with 16-bit digits (y as X^17,
+    # x as X = 2^16) X - 1 = P(1) divides the image of P(x) H(y): an
+    # integer image can make a non-divisor look like one.
     h = {(i, 0, 0, 0, 0): 1 for i in range(4)}
     p = _univariate([4095] * 16 + [15], var=4)
-    g = ea._school_mul(_univariate([-1, 1], var=4), h)
-    f = ea._school_mul(p, h)
-    del results[:]
-    assert ea._div(f, g) is ea._long_div(f, g, True) is None
-    assert results[0] is ea._UNDECIDED and results[-1] is None
+    u1 = _univariate([-1, 1], var=4)
+    red = RatFunc(MPoly(ea._school_mul(p, h)),
+                  MPoly(ea._school_mul(u1, h))).simplified()
+    assert (red.num.terms, red.den.terms) == (p, u1)
