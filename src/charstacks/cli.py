@@ -107,8 +107,8 @@ def _formula_at_q(surface, n, q):
 
 def cmd_count(args):
     surface = _surface_from_args(args, 1)
-    # before anything computes mod q
-    fc._check_field(args.q)
+    # before anything computes in GL_n(F_q)
+    fc.check_group(args.n, args.q)
     orbit = fc.FqOrbit.central(args.zeta, args.n, args.q)
     generic, witness = cs.is_generic([orbit.as_angles(args.q)])
     if not generic:

@@ -21,15 +21,17 @@ times each cofactor gives back the input, which by the theorem proves the
 candidate is the gcd.  There is no polynomial long division: the
 quotient by a non-monomial is read from the reduced fraction.
 
-Large products run on Kronecker substitution (Kronecker 1882; Fateman,
-"Can you save time in multiplying polynomials by encoding them as
-integers?", 2004/2010): a polynomial is shifted to its exponent box, laid
-out in mixed radix, and packed into one int with a balanced digit of 8k
-bits per position.  A product is one int product, with k from the exact
-bound 2*|f|*|g|*min(#f, #g) < 2**(8k); a rational operand has its
-denominators cleared by one lcm first.  Small inputs, and boxes much
-larger than their term count, keep the schoolbook loop, by a size rule
-on term counts and box size.  Both give the same term dicts.
+A product by a single term c*x^e, the most common kind, adds e to each
+exponent of the other factor and multiplies each coefficient by c; by the
+int 1 it is a copy.  Large products run on Kronecker substitution
+(Kronecker 1882; Fateman, "Can you save time in multiplying polynomials
+by encoding them as integers?", 2004/2010): a polynomial is shifted to
+its exponent box, laid out in mixed radix, and packed into one int with a
+balanced digit of 8k bits per position.  A product is one int product,
+with k from the exact bound 2*|f|*|g|*min(#f, #g) < 2**(8k); a rational
+operand has its denominators cleared by one lcm first.  Small or sparse
+products keep the schoolbook loop, by a size rule on term counts and box
+size.  All three give the same term dicts.
 
 A coefficient is a plain `int` when it is integral and a
 `fractions.Fraction` only when it is not.  The entry points (`MPoly()`,
@@ -49,7 +51,7 @@ import struct
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 VARS = ("z", "w", "q", "t", "u")
 NVARS = len(VARS)
@@ -200,14 +202,23 @@ def _kron_mul(f, g, bf, bg):
 
 # When packing pays: below this size, or in a box much larger than the
 # terms that fill it, packing and unpacking cost more than the loops save.
-# A monomial factor only shifts and scales, which the loop does in one pass.
 MUL_MIN_PAIRS = 128
 
 
 def _mul(f, g):
     """The product f*g of two term dicts."""
+    if len(f) == 1:
+        f, g = g, f
+    if len(g) == 1:
+        # a single term c0*x^e0: add e0 to each exponent, scale by c0
+        ((e0, c0),) = g.items()
+        if e0 != ZERO_EXP:
+            return {tuple(map(add, e, e0)): c * c0 for e, c in f.items()}
+        if c0 == 1 and type(c0) is int:  # keeps each coefficient's type
+            return dict(f)
+        return {e: c * c0 for e, c in f.items()}
     pairs = len(f) * len(g)
-    if pairs >= MUL_MIN_PAIRS and min(len(f), len(g)) > 1:
+    if pairs >= MUL_MIN_PAIRS:
         (lf, hf), (lg, hg) = bf, bg = _bounds(f), _bounds(g)
         size = prod(map(lambda a, b, c, d: a + b - c - d + 1, hf, hg, lf, lg))
         if size <= 4 * pairs + 64:
@@ -350,9 +361,7 @@ class MPoly:
         return res
 
     def __neg__(self):
-        res = MPoly.__new__(MPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
@@ -408,24 +417,13 @@ class MPoly:
             return ZERO_EXP
         return tuple(min(e[i] for e in self.terms) for i in range(NVARS))
 
-    def shift(self, delta):
-        """self times the monomial x^delta; coefficients are kept as
-        they are."""
-        res = MPoly.__new__(MPoly)
-        res.terms = {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
-        return res
-
     def exact_div(self, other):
         """Exact quotient self/other as a Laurent polynomial, or None."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_monomial():
-            ((e2, c2),) = other.terms.items()
-            inv = tuple(-x for x in e2)
-            return MPoly({tuple(a + b for a, b in zip(e, inv)): Fraction(c, c2)
-                          for e, c in self.terms.items()})
-        red = RatFunc(self, other).simplified()
-        return red.num if red.den.is_one() else None
+            return MPoly((self * other ** -1).terms)
+        return RatFunc(self, other).as_mpoly()
 
     # -- text form ----------------------------------------------------------
 
@@ -502,9 +500,7 @@ class RatFunc:
     def _coerce(x):
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc(x)
-        if isinstance(x, MPoly):
+        if isinstance(x, (int, Fraction, MPoly)):
             return RatFunc(x)
         return None
 
@@ -628,16 +624,15 @@ class RatFunc:
             return RatFunc(self.num.exact_div(self.den), MPoly.const(1))
         # monomials are units: shift to honest polynomials first
         sn, sd = self.num.min_exponents(), self.den.min_exponents()
-        mn, f = _integral(self.num.shift(tuple(-x for x in sn)).terms)
-        md, g = _integral(self.den.shift(tuple(-x for x in sd)).terms)
+        mn, f = _integral((self.num * MPoly.monomial(map(neg, sn))).terms)
+        md, g = _integral((self.den * MPoly.monomial(map(neg, sd))).terms)
         _, f, g = _heugcd(f, g)
         # num/den = (f * md) / (g * mn); mn shares no factor with the
         # content of f, nor md with that of g.  The sign of c makes den's
         # leading coefficient positive.
         c = gcd(mn, md) * (1 if g[max(g)] > 0 else -1)
-        num = MPoly({e: v * (md // c) for e, v in f.items()})
-        den = MPoly({e: v * (mn // c) for e, v in g.items()})
-        num = num.shift(tuple(map(sub, sn, sd)))
+        num = MPoly(f) * MPoly.monomial(map(sub, sn, sd), md // c)
+        den = MPoly(g) * (mn // c)
         if den.is_monomial():
             return RatFunc(num.exact_div(den), MPoly.const(1))
         return RatFunc(num, den)

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import isnan
 from operator import mul
 
 from . import charstack as cs
@@ -42,11 +43,15 @@ class EnumerationTooLarge(ValueError):
     exceeds the cap, or the group is too large to hold in memory."""
 
 
-def _check_field(q):
+def check_group(n, q):
+    """Refuse q other than an odd prime <= MAX_PRIME, and n outside 1..3."""
     if q <= 2 or q > MAX_PRIME:
         raise ValueError(f"q must be an odd prime <= {MAX_PRIME}: {q}")
     if any(q % p == 0 for p in (2, 3, 5, 7, 11) if p < q):
         raise ValueError(f"q must be prime: {q}")
+    if not 1 <= n <= 3:
+        raise ValueError(f"n <= 3 only: {n}" if n > 3 else
+                         f"n must be at least 1 (and n <= 3 only): {n}")
 
 
 # -- matrix arithmetic mod q ---------------------------------------------------
@@ -128,9 +133,7 @@ def _check_memory(n, q):
 
 def enumerate_gl(n, q):
     """All invertible n x n matrices, row-major entry order, singular skipped."""
-    _check_field(q)
-    if n > 3:
-        raise ValueError("n <= 3 only")
+    check_group(n, q)
     _check_memory(n, q)
     for entries in product(range(q), repeat=n * n):
         m = tuple(entries[i * n:(i + 1) * n] for i in range(n))
@@ -299,9 +302,10 @@ class _Classes:
 
 def _dtheta(cls, q):
     """N(g) = #{D : D theta(D) = g}: a class function, since D -> h D h^T
-    maps the solutions for g onto those for h g h^-1."""
+    maps the solutions for g onto those for h g h^-1.  theta(D) = (D^-1)^T."""
     return cls.class_function(
-        Counter(cls.key[mat_mul(d, theta(d, q), q)] for d in cls.key))
+        Counter(cls.key[mat_mul(d, transpose(dinv), q)]
+                for d, dinv in cls.inverse.items()))
 
 
 def _commutators(cls, q):
@@ -362,12 +366,12 @@ def _estimate_cost(n, q, steps):
 
 
 def check_size(copies, k, q, n, cost_cap=DEFAULT_COST_CAP):
-    """Raise ValueError for n outside 1..3, and EnumerationTooLarge for a
-    count of `copies` factors (D_i, or commutator pairs) and k orbits in
-    GL_n(F_q) that is too large to run, both before any work."""
-    _check_field(q)
-    if not 1 <= n <= 3:
-        raise ValueError(f"n <= 3 only: {n}")
+    """Raise ValueError for a group outside `check_group` or a NaN cap
+    (which no estimate exceeds), and EnumerationTooLarge for a count of
+    `copies` factors and k orbits in GL_n(F_q) too large to run."""
+    check_group(n, q)
+    if isnan(cost_cap):
+        raise ValueError(f"the cost cap must be a number: {cost_cap}")
     est = _estimate_cost(n, q, copies + k)
     if est > cost_cap:
         raise EnumerationTooLarge(

@@ -289,6 +289,31 @@ def test_count_n4_refused_as_usage(capsys, monkeypatch, cap):
     assert code == 2 and out == "" and "n <= 3" in err
 
 
+def test_count_nan_cap_refused_as_usage(capsys, monkeypatch):
+    # est > nan is never true, so a NaN cap would let this count run
+    def no_formula(*args, **kwargs):
+        raise AssertionError("the formula was computed for a refused count")
+
+    monkeypatch.setattr("charstacks.charstack.eseries", no_formula)
+    code, out, err = run(capsys, "count", "--nonorientable", "--r", "300",
+                         "--n", "2", "--q", "13", "--zeta", "-1",
+                         "--cap", "nan")
+    assert code == 2 and out == "" and "cost cap" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_count_n_below_1_refused_as_usage(capsys, monkeypatch, n):
+    # the range of n is checked before the orbit is built from it
+    def no_formula(*args, **kwargs):
+        raise AssertionError("the formula was computed for a refused count")
+
+    monkeypatch.setattr("charstacks.charstack.eseries", no_formula)
+    code, out, err = run(capsys, "count", "--nonorientable", "--r", "2",
+                         "--n", n, "--zeta", "2", "--q", "5")
+    assert code == 2 and out == "" and "n <= 3" in err
+    assert "multiplicities" not in err
+
+
 def test_runs_without_sympy():
     """The package needs no sympy: a blocked import must not matter."""
     code = (

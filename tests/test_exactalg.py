@@ -263,10 +263,14 @@ def _sympy_simplified(f):
         return MPoly({tuple(e): Fraction(int(c.numerator), int(c.denominator))
                       for e, c in el.terms()})
 
+    def shift(p, delta):
+        return MPoly({tuple(a + b for a, b in zip(e, delta)): c
+                      for e, c in p.terms.items()})
+
     sn, sd = f.num.min_exponents(), f.den.min_exponents()
-    n, d = to_ring(f.num.shift(tuple(-x for x in sn))).cancel(
-        to_ring(f.den.shift(tuple(-x for x in sd))))
-    num = from_ring(n).shift(tuple(a - b for a, b in zip(sn, sd)))
+    n, d = to_ring(shift(f.num, tuple(-x for x in sn))).cancel(
+        to_ring(shift(f.den, tuple(-x for x in sd))))
+    num = shift(from_ring(n), tuple(a - b for a, b in zip(sn, sd)))
     den = from_ring(d)
     if den.is_monomial():
         return RatFunc(num.exact_div(den), MPoly.const(1))
@@ -317,7 +321,7 @@ def test_simplified_matches_sympy_cancel():
         checked += 1
 
 
-# -- packed products and divisions against the loops they replace ------------
+# -- packed and one-term products against the loop they replace --------------
 
 def _random_terms(rng, nterms, lo, spans, bits, rational):
     p = {}
@@ -353,6 +357,31 @@ def test_packed_product_matches_schoolbook(monkeypatch):
     f, g = (_random_terms(rng, 20, (0, -50, 0, 0, 0), (51, 51, 51, 1, 1), 70,
                           False) for _ in range(2))
     assert ea._mul(f, g) == school(f, g) and fallbacks
+
+
+def test_one_term_product_matches_schoolbook():
+    rng = random.Random(41)
+    for _ in range(400):
+        e0 = tuple(rng.randint(-3, 3) for _ in range(5))
+        c0 = rng.choice((rng.randint(-10 ** 6, 10 ** 6) or 2, 1, -1,
+                         Fraction(rng.randint(1, 99), 100), Fraction(1)))
+        if rng.random() < 0.2:
+            e0, c0 = (0,) * 5, 1  # the unit
+        one = {e0: c0}
+        other = _random_terms(rng, rng.randint(1, 60), (-3,) * 5, (7,) * 5,
+                              rng.choice((3, 70)), False)
+        other = {e: Fraction(c, 3) if rng.random() < 0.3 else c
+                 for e, c in other.items()}
+        saved = dict(one), dict(other)
+        for f, g in ((one, other), (other, one)):
+            got, expected = ea._mul(f, g), ea._school_mul(f, g)
+            assert got == expected, (e0, c0)
+            assert [type(got[e]) for e in expected] == \
+                [type(c) for c in expected.values()], (e0, c0)
+            assert got is not f and got is not g
+        assert (one, other) == saved
+        assert [type(c) for c in other.values()] == \
+            [type(c) for c in saved[1].values()]
 
 
 def _univariate(coeffs, var=0):

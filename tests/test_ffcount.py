@@ -114,6 +114,21 @@ def test_cost_cap():
         fc.count_nonorientable(2, [orb], 13, 3)
 
 
+def test_nan_cost_cap_refused():
+    # est > nan is never true: a NaN cap must not switch the cap off
+    with pytest.raises(ValueError, match="cost cap") as exc:
+        fc.check_size(300, 1, 13, 2, float("nan"))
+    assert not isinstance(exc.value, fc.EnumerationTooLarge)
+
+
+@pytest.mark.parametrize("n", [0, -1, 4])
+def test_group_range_refused(n):
+    for check in (lambda: fc.check_size(2, 1, 5, n),
+                  lambda: next(enumerate_gl(n, 5))):
+        with pytest.raises(ValueError, match="n <= 3"):
+            check()
+
+
 def test_cost_model():
     # a step costs at most q^n class representatives times |GL| products
     assert fc._estimate_cost(2, 13, 2 + 1) <= fc.DEFAULT_COST_CAP
