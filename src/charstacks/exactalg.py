@@ -412,11 +412,6 @@ class MPoly:
             total += term
         return total
 
-    def min_exponents(self):
-        if not self.terms:
-            return ZERO_EXP
-        return tuple(min(e[i] for e in self.terms) for i in range(NVARS))
-
     def exact_div(self, other):
         """Exact quotient self/other as a Laurent polynomial, or None."""
         if other.is_zero():
@@ -623,7 +618,7 @@ class RatFunc:
         if self.den.is_monomial():
             return RatFunc(self.num.exact_div(self.den), MPoly.const(1))
         # monomials are units: shift to honest polynomials first
-        sn, sd = self.num.min_exponents(), self.den.min_exponents()
+        sn, sd = _bounds(self.num.terms)[0], _bounds(self.den.terms)[0]
         mn, f = _integral((self.num * MPoly.monomial(map(neg, sn))).terms)
         md, g = _integral((self.den * MPoly.monomial(map(neg, sd))).terms)
         _, f, g = _heugcd(f, g)

@@ -309,21 +309,14 @@ def _dtheta(cls, q):
 
 
 def _commutators(cls, q):
-    """N(c) = #{(a, b) : a b a^-1 b^-1 = c}.  For fixed a this asks for
-    b a^-1 b^-1 = a^-1 c, which has |C(a)| = |GL| / |class(a)| solutions b
-    when a^-1 c is conjugate to a^-1, and none otherwise."""
-    centralizer = {k: cls.order // len(m) for k, m in cls.members.items()}
-    out = {}
+    """N(c) = #{(a, b) : a b a^-1 b^-1 = c}.  For a in a class K, b a^-1 b^-1
+    runs over the class K^-1 of a^-1, taking each value for |C(a)| =
+    |GL| / |K| of the b, so N = sum_K |C(K)| (1_K * 1_{K^-1})."""
+    out = Counter()
     for k, members in cls.members.items():
-        if _det(k) != 1:  # a commutator has determinant 1
-            continue
-        c = members[0]
-        total = sum(centralizer[cls.key[a]]
-                    for a, ainv in cls.inverse.items()
-                    if cls.key[mat_mul(ainv, c, q)] == cls.key[ainv])
-        if total:
-            out[k] = total
-    return out
+        kinv = cls.key[cls.inverse[members[0]]]
+        out.update(cls.convolve({k: cls.order // len(members)}, {kinv: 1}, q))
+    return dict(out)
 
 
 # -- counting --------------------------------------------------------------------

@@ -10,6 +10,7 @@ strictly to its right, the leg cells strictly below.  Cells are 1-based
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 
@@ -92,10 +93,7 @@ def zlambda(lam):
     z = 1
     for part, group in itertools.groupby(lam):
         m = len(list(group))
-        fact = 1
-        for x in range(2, m + 1):
-            fact *= x
-        z *= part**m * fact
+        z *= part**m * math.factorial(m)
     return z
 
 

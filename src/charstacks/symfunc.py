@@ -183,8 +183,11 @@ class SymFunc:
         return self.coeffs.get(((),) * self.k, ZERO)
 
     def coefficient(self, key):
-        """The m_key coefficient."""
-        return self.to_basis("m").get(tuple(tuple(mu) for mu in key), ZERO)
+        """The m_key coefficient; key has one partition per alphabet."""
+        key = tuple(tuple(mu) for mu in key)
+        if len(key) != self.k:
+            raise ValueError("one partition per alphabet required")
+        return self.to_basis("m").get(key, ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
@@ -310,47 +313,43 @@ def plethysm_pr(r, f):
     return SymFunc(f.k, f.N, out)
 
 
+def _series(a, weight):
+    """sum_{j>=1} weight(j) a^j, truncated.  a has zero constant term, so
+    a^j vanishes once j exceeds the total degree k N."""
+    out = SymFunc.zero(a.k, a.N)
+    power = SymFunc.one(a.k, a.N)
+    for j in range(1, a.k * a.N + 1):
+        power = power * a
+        if power.is_zero():
+            break
+        out = out + power.scale(weight(j))
+    return out
+
+
+def _adams(f, weight):
+    """sum_{r>=1} weight(r) (p_r o f), truncated."""
+    out = SymFunc.zero(f.k, f.N)
+    for r in range(1, f.k * f.N + 1):
+        w = weight(r)
+        if w:
+            out = out + plethysm_pr(r, f).scale(w)
+    return out
+
+
 def ple_exp(f):
     """Plethystic exponential Exp(f) = exp(sum_r (p_r o f)/r), truncated."""
     if not f.constant_term().is_zero():
         raise ValueError("ple_exp needs zero constant term")
-    g = SymFunc.zero(f.k, f.N)
-    for r in range(1, f.k * f.N + 1):
-        term = plethysm_pr(r, f)
-        if not term.is_zero():
-            g = g + term.scale(Fraction(1, r))
-    out = SymFunc.one(f.k, f.N)
-    power = SymFunc.one(f.k, f.N)
-    for j in range(1, f.k * f.N + 1):
-        power = (power * g).scale(Fraction(1, j))
-        if power.is_zero():
-            break
-        out = out + power
-    return out
+    g = _adams(f, lambda r: Fraction(1, r))
+    return SymFunc.one(f.k, f.N) + _series(
+        g, lambda j: Fraction(1, math.factorial(j)))
 
 
 def ple_log(om):
-    """Plethystic logarithm: the inverse of ple_exp on series with constant 1."""
+    """Plethystic logarithm, the inverse of ple_exp on series with constant
+    1: Mobius inversion of the Adams sum applied to log(om)."""
     if not om.constant_term() == ONE:
         raise ValueError("ple_log needs constant term exactly 1")
-    a = om - SymFunc.one(om.k, om.N)
-    # formal log(1 + a)
-    log_om = SymFunc.zero(om.k, om.N)
-    power = SymFunc.one(om.k, om.N)
-    sign = 1
-    for j in range(1, om.k * om.N + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        log_om = log_om + power.scale(Fraction(sign, j))
-        sign = -sign
-    out = SymFunc.zero(om.k, om.N)
-    for r in range(1, om.k * om.N + 1):
-        mu = _mobius(r)
-        if mu == 0:
-            continue
-        term = plethysm_pr(r, log_om)
-        if term.is_zero():
-            continue
-        out = out + term.scale(Fraction(mu, r))
-    return out
+    log_om = _series(om - SymFunc.one(om.k, om.N),
+                     lambda j: Fraction((-1) ** (j + 1), j))
+    return _adams(log_om, lambda r: Fraction(_mobius(r), r))

@@ -328,3 +328,16 @@ def test_runs_without_sympy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n, code, err", [("2", 0, ""),
+                                          ("1", 2, "n must be >= 2")])
+def test_module_entry_point_exit_code(n, code, err):
+    """`python -m charstacks.cli` exits through `entry()` with main's code."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "charstacks.cli",
+                           "verify-counterexample", "--n", n, "--d", "2"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert bool(proc.stdout) == (code == 0) and err in proc.stderr

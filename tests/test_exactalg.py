@@ -267,7 +267,11 @@ def _sympy_simplified(f):
         return MPoly({tuple(a + b for a, b in zip(e, delta)): c
                       for e, c in p.terms.items()})
 
-    sn, sd = f.num.min_exponents(), f.den.min_exponents()
+    def lowest(p):
+        return tuple(min((e[i] for e in p.terms), default=0)
+                     for i in range(5))
+
+    sn, sd = lowest(f.num), lowest(f.den)
     n, d = to_ring(shift(f.num, tuple(-x for x in sn))).cancel(
         to_ring(shift(f.den, tuple(-x for x in sd))))
     num = shift(from_ring(n), tuple(a - b for a, b in zip(sn, sd)))

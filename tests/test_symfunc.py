@@ -129,6 +129,15 @@ def test_hall_pair_duality_examples():
     assert hall_pair_h(one_alphabet("p", (2,)), ((2,),)) == ONE
 
 
+@pytest.mark.parametrize("key", [((2,),), ((2,), (1, 1), (1,))])
+def test_key_with_wrong_number_of_partitions_refused(key):
+    f = basis_element("m", ((2,), (1, 1)), 2, 2)
+    with pytest.raises(ValueError, match="one partition per alphabet"):
+        f.coefficient(key)
+    with pytest.raises(ValueError, match="one partition per alphabet"):
+        hall_pair_h(f, key)
+
+
 def test_hall_pair_duality_exhaustive():
     for n in range(1, 5):
         for lam in pt.enumerate_partitions(n):
