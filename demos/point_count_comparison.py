@@ -2,8 +2,10 @@
 formula values at the same primes.
 
 Run:  python3 demos/point_count_comparison.py
+Exits 1 if any row is a MISMATCH.
 """
 
+import sys
 from fractions import Fraction
 
 from charstacks import ffcount as fc
@@ -23,6 +25,7 @@ ROWS = [
      (3, 5, 7, 11, 13), lambda orb, q: fc.count_orientable(1, [orb], q, 2)),
 ]
 
+mismatches = 0
 print(f"{'case':38} {'q':>3} {'brute force':>12} {'formula':>10}  match")
 for label, surface, mus, n, zeta, primes, counter in ROWS:
     formula = eseries(surface, mus).value
@@ -30,6 +33,8 @@ for label, surface, mus, n, zeta, primes, counter in ROWS:
         orb = fc.FqOrbit.central(zeta, n, q)
         rep = counter(orb, q)
         want = formula.eval({"q": Fraction(q)})
-        flag = "ok" if rep.groupoid_count == want else "MISMATCH"
+        ok = rep.groupoid_count == want
+        mismatches += not ok
         print(f"{label:38} {q:>3} {str(rep.groupoid_count):>12} "
-              f"{str(want):>10}  {flag}")
+              f"{str(want):>10}  {'ok' if ok else 'MISMATCH'}")
+sys.exit(1 if mismatches else 0)

@@ -343,7 +343,9 @@ class MPoly:
     # -- ring operations ---------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, MPoly) and self.terms == other.terms
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -394,23 +396,7 @@ class MPoly:
         """Substitute every variable v by v**r (exponent dilation)."""
         return MPoly({tuple(x * r for x in e): c for e, c in self.terms.items()})
 
-    # -- evaluation and division -------------------------------------------
-
-    def evaluate(self, point):
-        """Exact evaluation at a dict var -> Fraction."""
-        vals = []
-        for v in VARS:
-            vals.append(_as_fraction(point[v]) if v in point else None)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for i, x in enumerate(e):
-                if x:
-                    if vals[i] is None:
-                        raise ValueError(f"no value supplied for variable {VARS[i]}")
-                    term *= vals[i] ** x
-            total += term
-        return total
+    # -- division ----------------------------------------------------------
 
     def exact_div(self, other):
         """Exact quotient self/other as a Laurent polynomial, or None."""
@@ -480,9 +466,8 @@ class RatFunc:
         return self.num.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
+        other = RatFunc._coerce(other)
+        if other is None:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
@@ -593,11 +578,17 @@ class RatFunc:
         return RatFunc(image(self.num), den)
 
     def eval(self, point):
-        """Exact evaluation at a dict var -> Fraction; raises on poles."""
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {point}")
-        return self.num.evaluate(point) / d
+        """The value as a Fraction: `substitute` with constant bindings.
+
+        Raises ValueError naming the first variable still present, and
+        whatever `substitute` raises (a pole, a zero binding, an unknown
+        variable).
+        """
+        f = self.substitute(point)
+        for i, v in enumerate(VARS):
+            if any(e[i] for p in (f.num, f.den) for e in p.terms):
+                raise ValueError(f"no value supplied for variable {v}")
+        return Fraction(f.num.terms.get(ZERO_EXP, 0)) / f.den.terms[ZERO_EXP]
 
     def scale_exponents(self, r):
         return RatFunc(self.num.scale_exponents(r), self.den.scale_exponents(r))

@@ -11,15 +11,17 @@ E-series formulas evaluated at q.
 
 Matrices are tuples of tuples of residues.  The solution count is
 assembled by convolving exact distributions over GL_n: the number of D
-with D*theta(D) = g, of pairs with commutator g, and orbit indicators.
-Each is a class function, so it is stored as one value per conjugacy
-class, keyed by (characteristic polynomial, degree of the minimal
-polynomial), which determines the class for n <= 3.  A convolution is
-evaluated on one representative per class, summing over the elements of
-one factor's support: at most #classes x |GL| products instead of |GL|^2.
-This reproduces the raw tuple count exactly and stays brute force: no
-character table or formula value enters.  n = 2 runs for every q <= 13;
-n = 3 only for q = 3.
+with D*theta(D) = g, of pairs with commutator g, and the indicator of
+each orbit's members.  Each is a class function, so it is stored as one
+value per conjugacy class, keyed by (characteristic polynomial, degree of
+the minimal polynomial), which determines the class for n <= 3.  A
+convolution is evaluated on one representative per class, summing over
+the elements of one factor's support: at most #classes x |GL| products
+instead of |GL|^2.  The raw count is the product's value at the
+identity.  A count holds each element with its class key, and one
+inverse per class.  This reproduces the raw tuple count exactly and
+stays brute force: no character table or formula value enters.  n = 2
+runs for every q <= 13; n = 3 only for q = 3.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def gl_order(n, q):
 
 def _check_memory(n, q):
     """Refuse GL_3(F_q) for q > 3, whatever the cost cap: a count holds
-    every element of the group, with its class key and inverse."""
+    every element of the group, with its class key."""
     if n == 3 and q > 3:
         raise EnumerationTooLarge(
             f"GL_3(F_{q}) has {gl_order(3, q):.2e} elements: a count holds "
@@ -258,17 +260,17 @@ class _Classes:
     """
     order: int
     key: dict      # element -> class key
-    inverse: dict  # element -> inverse
+    inverse: dict  # class key -> key of the inverse class
     members: dict  # class key -> elements
 
     @staticmethod
     def of(n, q):
-        key, inverse, members = {}, {}, {}
+        key, members = {}, {}
         for a in enumerate_gl(n, q):
             k = _class_key(a, q)
             key[a] = k
-            inverse[a] = mat_inv(a, q)
             members.setdefault(k, []).append(a)
+        inverse = {k: key[mat_inv(ms[0], q)] for k, ms in members.items()}
         return _Classes(len(key), key, inverse, members)
 
     def class_function(self, tally):
@@ -285,7 +287,8 @@ class _Classes:
 
     def convolve(self, f1, f2, q):
         """(f1 * f2)(c) = sum over a in supp f1 of f1(a) f2(a^-1 c), on one
-        representative c per class: #classes x |supp f1| products."""
+        representative c per class, with a^-1 running over the inverse
+        class of each class of supp f1: #classes x |supp f1| products."""
         # det is multiplicative, so f1 * f2 vanishes off these determinants
         dets = {_det(k1) * _det(k2) % q for k1 in f1 for k2 in f2}
         out = {}
@@ -293,8 +296,9 @@ class _Classes:
             if _det(k) not in dets:
                 continue
             c = members[0]
-            total = sum(v * f2.get(self.key[mat_mul(self.inverse[a], c, q)], 0)
-                        for ka, v in f1.items() for a in self.members[ka])
+            total = sum(v * f2.get(self.key[mat_mul(b, c, q)], 0)
+                        for ka, v in f1.items()
+                        for b in self.members[self.inverse[ka]])
             if total:
                 out[k] = total
         return out
@@ -302,10 +306,9 @@ class _Classes:
 
 def _dtheta(cls, q):
     """N(g) = #{D : D theta(D) = g}: a class function, since D -> h D h^T
-    maps the solutions for g onto those for h g h^-1.  theta(D) = (D^-1)^T."""
+    maps the solutions for g onto those for h g h^-1."""
     return cls.class_function(
-        Counter(cls.key[mat_mul(d, transpose(dinv), q)]
-                for d, dinv in cls.inverse.items()))
+        Counter(cls.key[mat_mul(d, theta(d, q), q)] for d in cls.key))
 
 
 def _commutators(cls, q):
@@ -314,8 +317,8 @@ def _commutators(cls, q):
     |GL| / |K| of the b, so N = sum_K |C(K)| (1_K * 1_{K^-1})."""
     out = Counter()
     for k, members in cls.members.items():
-        kinv = cls.key[cls.inverse[members[0]]]
-        out.update(cls.convolve({k: cls.order // len(members)}, {kinv: 1}, q))
+        out.update(cls.convolve({k: cls.order // len(members)},
+                                {cls.inverse[k]: 1}, q))
     return dict(out)
 
 
@@ -380,14 +383,14 @@ def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
         raise ValueError("orbit size mismatch")
     check_size(copies, len(orbits), q, n, cost_cap)
     cls = _Classes.of(n, q)
+    one = cls.key[identity(n)]
     factors = [word(cls, q)] * copies if copies else []
-    factors += [{cls.key[o.representative(q)]: 1} for o in orbits[:-1]]
-    dist = {cls.key[identity(n)]: 1}
+    factors += [cls.class_function(Counter(cls.key[m] for m in o.members(q)))
+                for o in orbits]
+    dist = {one: 1}
     for f in factors:
         dist = cls.convolve(f, dist, q)
-    # the last orbit's element is determined by the other factors
-    raw = sum(dist.get(cls.key[cls.inverse[m]], 0)
-              for m in orbits[-1].members(q))
+    raw = dist.get(one, 0)
     groupoid = Fraction(raw, cls.order)
     return CountReport(
         surface=surface,

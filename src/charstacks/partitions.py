@@ -102,10 +102,6 @@ def nstat(lam):
     return sum(i * part for i, part in enumerate(lam))
 
 
-def hook_lengths(lam):
-    return [arm(lam, s) + leg(lam, s) + 1 for s in cells(lam)]
-
-
 def check_multipartition(mus):
     """A multipartition: k >= 1 partitions of one common size n >= 1."""
     mus = tuple(check_partition(mu) for mu in mus)

@@ -59,6 +59,24 @@ def test_eval_pole_reported():
         (ONE / (Q - ONE)).eval({"q": 1})
 
 
+def test_eval_is_substitute_to_constants():
+    f = (Q * T + ONE) / (Q - ONE)
+    assert f.eval({"q": 3, "t": 2}) == Fraction(7, 2)
+    assert type((Q - ONE).eval({"q": 3})) is Fraction
+    with pytest.raises(ValueError, match="variable t"):
+        f.eval({"q": 3})
+    # as in substitute, a binding is a nonzero monomial
+    with pytest.raises(TypeError):
+        f.eval({"q": 0, "t": 2})
+
+
+def test_eq_coerces_mpoly():
+    z = MPoly.var("z")
+    assert RatFunc(z) == z and z == RatFunc(z)
+    assert RatFunc(z) != MPoly.var("w")
+    assert RatFunc(z).__eq__("z") is NotImplemented
+
+
 def test_substitute_refuses_non_monomial():
     for binding in ({"z": ONE + U}, {"z": ONE / (ONE + U)}, {"z": 0}):
         with pytest.raises(TypeError):

@@ -174,6 +174,17 @@ def test_convolve_matches_element_oracle():
                 for a in classes.members[k]} == want, (k1, k2)
 
 
+@pytest.mark.parametrize("n, q", [(1, 5), (2, 3), (2, 5), (3, 3)])
+def test_class_inverse_map(n, q):
+    # the inverse is kept per class: an involution on keys that agrees
+    # with the inverse of every element
+    classes = fc._Classes.of(n, q)
+    for a, key in classes.key.items():
+        assert classes.inverse[key] == classes.key[mat_inv(a, q)]
+    for key, kinv in classes.inverse.items():
+        assert classes.inverse[kinv] == key
+
+
 def test_class_function_rejects_uneven_tally():
     q = 3
     classes = fc._Classes.of(2, q)
