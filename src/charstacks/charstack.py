@@ -11,8 +11,8 @@ sqrt(q) is realized as the variable u (positive branch; q = u**2) and
 (qt^2)^(1/2) as t*u.  When d_mu is odd the q-presentation genuinely
 involves sqrt(q); the report records that instead of rounding.
 
-The formulas are only claimed for generic orbit tuples, but they are
-computed regardless and the genericity verdict is embedded in the report.
+The formulas are only claimed for generic orbit tuples: a report given
+orbits refuses a non-generic tuple, naming is_generic's witness.
 """
 
 from __future__ import annotations
@@ -246,11 +246,15 @@ def _series(kind, surface, mus, HH, generic):
 
 
 def _report(kind, surface, mus, orbits):
-    """_series on HH_{mu,m} and the orbits' verdict; a k mismatch is
-    refused before HH is computed."""
+    """_series on HH_{mu,m} and the orbits' verdict; a k mismatch and
+    non-generic orbits are refused before HH is computed."""
     mus = pt.check_multipartition(mus)
     d_mu(surface, mus)
-    generic = None if orbits is None else is_generic(orbits)[0]
+    generic, witness = (None, None) if orbits is None else is_generic(orbits)
+    if generic is False:
+        raise ValueError(
+            f"the orbits are not generic (witness: v = {witness['v']}, "
+            f"angle sum {witness['sum']}), so no formula is claimed")
     return _series(kind, surface, mus, hlv_HH(mus, surface.m), generic)
 
 

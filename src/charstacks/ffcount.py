@@ -13,8 +13,8 @@ Matrices are tuples of tuples of residues.  The solution count is
 assembled by convolving exact distributions over GL_n: the number of D
 with D*theta(D) = g, of pairs with commutator g, and the indicator of
 each orbit's members.  Each is a class function, so it is stored as one
-value per conjugacy class, keyed by (characteristic polynomial, degree of
-the minimal polynomial), which determines the class for n <= 3.  A
+value per conjugacy class, keyed by (tr a, ..., tr a^(n-1), det a) and the
+minimal polynomial's degree, which determine the class for n <= 3, q odd.  A
 convolution is evaluated on one representative per class, summing over
 the elements of one factor's support: at most #classes x |GL| products
 instead of |GL|^2.  The raw count is the product's value at the
@@ -30,7 +30,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import isnan
 from operator import mul
 
@@ -69,8 +69,7 @@ def mat_mul(a, b, q):
 
 
 def transpose(a):
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*a))
 
 
 def det(a, q):
@@ -98,15 +97,12 @@ def mat_inv(a, q):
         return (((a[1][1] * dinv) % q, (-a[0][1] * dinv) % q),
                 ((-a[1][0] * dinv) % q, (a[0][0] * dinv) % q))
     if n == 3:
-        cof = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                rows = [r for r in range(3) if r != i]
-                cols = [c for c in range(3) if c != j]
-                m = (a[rows[0]][cols[0]] * a[rows[1]][cols[1]]
-                     - a[rows[0]][cols[1]] * a[rows[1]][cols[0]])
-                cof[j][i] = ((-1) ** (i + j) * m * dinv) % q
-        return tuple(tuple(row) for row in cof)
+        # entry (i, j) is det^-1 times the cofactor of a[j][i]: with the rows
+        # and columns after j and i taken cyclically, the minor has its sign
+        c = ((1, 2), (2, 0), (0, 1))
+        return tuple(tuple((a[c[j][0]][c[i][0]] * a[c[j][1]][c[i][1]]
+                            - a[c[j][0]][c[i][1]] * a[c[j][1]][c[i][0]])
+                           * dinv % q for j in range(3)) for i in range(3))
     raise ValueError("n <= 3 only")
 
 
@@ -225,29 +221,27 @@ def _rank(rows, q):
 
 
 def _class_key(a, q):
-    """(characteristic polynomial, degree of the minimal polynomial) of a.
+    """((tr a, ..., tr a^(n-1), det a), degree of the minimal polynomial).
 
-    The characteristic polynomial is given by (e_1, ..., e_n), e_k the sum
-    of the principal k x k minors; the minimal polynomial's degree is the
-    dimension of span(I, a, ..., a^(n-1)).  For n <= 3 the pair fixes the
-    invariant factors, so it is a complete conjugacy invariant: degree n
-    leaves the characteristic polynomial as the one factor, degree 1 means
-    a scalar, and degree 2 (n = 3) leaves x - c and the characteristic
-    polynomial divided by x - c, c its repeated root.
+    Both are read off the powers I, a, ..., a^(n-1), the degree as the
+    dimension of their span.  For q odd (check_group) the first part fixes
+    the characteristic polynomial by Newton's identities: e_1 = p_1,
+    e_2 = (p_1^2 - p_2)/2 for p_k = tr a^k, and e_n = det a.  For n <= 3 the
+    pair fixes the invariant factors, so it is a complete conjugacy
+    invariant: degree n leaves the characteristic polynomial as the one
+    factor, degree 1 means a scalar, and degree 2 (n = 3) leaves x - c and
+    the characteristic polynomial divided by x - c, c its repeated root.
     """
     n = len(a)
-    charpoly = tuple(
-        sum(det(tuple(tuple(a[i][j] for j in s) for i in s), q)
-            for s in combinations(range(n), k)) % q
-        for k in range(1, n + 1))
-    powers = [identity(n)]
-    for _ in range(n - 1):
+    powers = [identity(n), a][:n]
+    while len(powers) < n:
         powers.append(mat_mul(powers[-1], a, q))
-    return charpoly, _rank([sum(p, ()) for p in powers], q)
+    traces = tuple(sum(p[i][i] for i in range(n)) % q for p in powers[1:])
+    return traces + (det(a, q),), _rank([sum(p, ()) for p in powers], q)
 
 
 def _det(key):
-    """The determinant of the elements with this class key: e_n."""
+    """The determinant of the elements with this class key."""
     return key[0][-1]
 
 
@@ -387,8 +381,8 @@ def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
     factors = [word(cls, q)] * copies if copies else []
     factors += [cls.class_function(Counter(cls.key[m] for m in o.members(q)))
                 for o in orbits]
-    dist = {one: 1}
-    for f in factors:
+    dist = factors[0]
+    for f in factors[1:]:
         dist = cls.convolve(f, dist, q)
     raw = dist.get(one, 0)
     groupoid = Fraction(raw, cls.order)

@@ -114,6 +114,18 @@ def test_count_nongeneric_refused(capsys):
     assert code == 2 and out == "" and "not generic" in err
 
 
+@pytest.mark.parametrize("which", ["eseries", "mixed"])
+def test_series_nongeneric_refused(capsys, which):
+    # the orbit at angle 0 is I_2, with det 1 on a 1-dim subspace: no
+    # formula is claimed, so no value is printed
+    argv = [which, "--nonorientable", "--r", "2", "--mu", "(2)"]
+    code, out, err = run(capsys, *argv, "--central-angle", "0")
+    assert code == 2 and out == ""
+    assert "not generic" in err and "v = 1, angle sum 0" in err
+    code, out, _ = run(capsys, *argv, "--central-angle", "1/2")
+    assert code == 0 and json.loads(out)["generic"] is True
+
+
 @pytest.mark.parametrize("q, message", [
     (0, "q must be an odd prime <= 13: 0"),
     (2, "q must be an odd prime <= 13: 2"),

@@ -148,7 +148,8 @@ def _generators(n, q):
     return gens
 
 
-@pytest.mark.parametrize("n, q", [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5)])
+@pytest.mark.parametrize("n, q", [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5),
+                                  (2, 7)])
 def test_class_keys_are_conjugacy_classes(n, q):
     # closed under conjugation by generators: each key's elements form a
     # union of classes; as many keys as GL_n(F_q) has classes (q - 1,
@@ -159,6 +160,9 @@ def test_class_keys_are_conjugacy_classes(n, q):
         for a, key in keys.items():
             assert keys[mat_mul(mat_mul(s, a, q), sinv, q)] == key
     assert len(set(keys.values())) == {1: q - 1, 2: q**2 - 1, 3: q**3 - q}[n]
+    # convolve prunes by the determinant read off the key
+    for a, key in keys.items():
+        assert fc._det(key) == fc.det(a, q)
 
 
 def test_convolve_matches_element_oracle():
