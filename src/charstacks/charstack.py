@@ -12,7 +12,9 @@ sqrt(q) is realized as the variable u (positive branch; q = u**2) and
 involves sqrt(q); the report records that instead of rounding.
 
 The formulas are only claimed for generic orbit tuples: a report given
-orbits refuses a non-generic tuple, naming is_generic's witness.
+orbits, and the counterexample, refuse a non-generic tuple with one
+message that names is_generic's witness.  The CLI's `count` gets its
+refusal and its formula from one eseries call on its own orbit.
 """
 
 from __future__ import annotations
@@ -148,6 +150,17 @@ def is_generic(orbits):
     return True, None
 
 
+def _require_generic(orbits, subject):
+    """True for generic orbits; otherwise a ValueError that names
+    is_generic's witness and says, with `subject`, what is refused."""
+    generic, witness = is_generic(orbits)
+    if not generic:
+        raise ValueError(
+            f"{subject} not generic (witness: v = {witness['v']}, angle sum "
+            f"{witness['sum']}), so no formula is claimed")
+    return True
+
+
 # -- the series formulas ---------------------------------------------------------
 
 @dataclass
@@ -250,11 +263,8 @@ def _report(kind, surface, mus, orbits):
     non-generic orbits are refused before HH is computed."""
     mus = pt.check_multipartition(mus)
     d_mu(surface, mus)
-    generic, witness = (None, None) if orbits is None else is_generic(orbits)
-    if generic is False:
-        raise ValueError(
-            f"the orbits are not generic (witness: v = {witness['v']}, "
-            f"angle sum {witness['sum']}), so no formula is claimed")
+    generic = None if orbits is None else _require_generic(
+        orbits, "the orbits are")
     return _series(kind, surface, mus, hlv_HH(mus, surface.m), generic)
 
 
@@ -320,12 +330,9 @@ def counterexample_report(n, d):
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    generic, witness = is_generic([OrbitSpec.central(Fraction(d, 2 * n), n)])
-    if not generic:
-        raise ValueError(
-            f"the central orbit of GL_{n} at angle d/(2n) = {d}/{2 * n} is not "
-            f"generic (witness: v = {witness['v']}, angle sum "
-            f"{witness['sum']})")
+    generic = _require_generic(
+        [OrbitSpec.central(Fraction(d, 2 * n), n)],
+        f"the central orbit of GL_{n} at angle d/(2n) = {d}/{2 * n} is")
     surface = nonorientable(r=2, k=1)
     mus = ((n,),)
     HH = hlv_HH(mus, surface.m)

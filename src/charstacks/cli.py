@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success/verified, 1 verified-false, 2 usage error or an
 input outside the theory (e.g. `count` on a non-generic orbit, where the
-formula is not claimed), 3 resource cap exceeded.
+formula is not claimed), 3 resource cap exceeded.  `count` checks its
+size before the orbit's genericity, so an oversized count exits 3.
 
 Every invocation computes from scratch; no state persists between runs.
 """
@@ -97,33 +98,20 @@ def cmd_verify_counterexample(args):
     return EXIT_OK if report.confirmed else EXIT_FALSE
 
 
-def _formula_at_q(surface, n, q):
-    """E-series value at the prime q for a generic central orbit of GL_n."""
-    report = cs.eseries(surface, ((n,),))
-    if report.half_integer_powers:
-        return None
-    return report.value.eval({"q": Fraction(q)})
-
-
 def cmd_count(args):
     surface = _surface_from_args(args, 1)
-    # before anything computes in GL_n(F_q)
-    fc.check_group(args.n, args.q)
-    orbit = fc.FqOrbit.central(args.zeta, args.n, args.q)
-    generic, witness = cs.is_generic([orbit.as_angles(args.q)])
-    if not generic:
-        raise ValueError(
-            f"the orbit {args.zeta}*I_{args.n} over F_{args.q} is not generic "
-            f"(witness: v = {witness['v']}, angle sum {witness['sum']}), "
-            "so no formula is claimed for it")
     if args.nonorientable:
         copies, count = args.r, fc.count_nonorientable
     else:
         copies, count = args.g, fc.count_orientable
-    # refuse an oversized count before paying for the formula
+    # refuse a bad group or an oversized count before anything computes
     fc.check_size(copies, 1, args.q, args.n, args.cap)
-    report = count(copies, [orbit], args.q, args.n,
-                   formula_value=_formula_at_q(surface, args.n, args.q),
+    orbit = fc.FqOrbit.central(args.zeta, args.n, args.q)
+    # refuses a non-generic orbit, for which no formula is claimed
+    series = cs.eseries(surface, ((args.n,),), [orbit.as_angles(args.q)])
+    formula = (None if series.half_integer_powers
+               else series.value.eval({"q": Fraction(args.q)}))
+    report = count(copies, [orbit], args.q, args.n, formula_value=formula,
                    cost_cap=args.cap)
     text = (f"groupoid count {report.groupoid_count}"
             + ("" if report.match is None else f", match {report.match}"))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from math import isnan
@@ -331,18 +331,11 @@ class CountReport:
     match: bool = None
 
     def as_dict(self):
-        return {
-            "surface": self.surface,
-            "orbits": self.orbits,
-            "q": self.q,
-            "n": self.n,
-            "raw_count": self.raw_count,
-            "gl_order": self.gl_order,
-            "groupoid_count": str(self.groupoid_count),
-            "formula_value": None if self.formula_value is None
-                             else str(self.formula_value),
-            "match": self.match,
-        }
+        d = asdict(self)
+        d["groupoid_count"] = str(self.groupoid_count)
+        if self.formula_value is not None:
+            d["formula_value"] = str(self.formula_value)
+        return d
 
     def to_json(self):
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
@@ -399,16 +392,12 @@ def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
 def count_nonorientable(r, orbits, q, n, formula_value=None,
                         cost_cap=DEFAULT_COST_CAP):
     """Count tuples (D_1..D_r, Z_1..Z_k) solving the non-orientable relation."""
-    if r < 1 or not orbits:
-        raise ValueError("need r >= 1 and at least one orbit")
-    return _count({"kind": "nonorientable", "r": r, "k": len(orbits)},
+    return _count(cs.nonorientable(r, len(orbits)).as_dict(),
                   _dtheta, r, orbits, q, n, formula_value, cost_cap)
 
 
 def count_orientable(g, orbits, q, n, formula_value=None,
                      cost_cap=DEFAULT_COST_CAP):
     """Count tuples (A_1,B_1..A_g,B_g, X_1..X_k) solving the genus-g relation."""
-    if g < 0 or not orbits:
-        raise ValueError("need g >= 0 and at least one orbit")
-    return _count({"kind": "orientable", "g": g, "k": len(orbits)},
+    return _count(cs.orientable(g, len(orbits)).as_dict(),
                   _commutators, g, orbits, q, n, formula_value, cost_cap)

@@ -30,14 +30,12 @@ certificate of H~_mu, next to Schur positivity and q<->t symmetry.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .exactalg import MPoly, RatFunc, ONE, Q, T, Z, W, NVARS, VAR_INDEX
 from . import partitions as pt
 from .symfunc import SymFunc
 
 
-@lru_cache(maxsize=None)
 def _p_norm_factor(lam):
     """<p_lam, p_lam>_{q,t} = z_lam * prod_i (1-q^{lam_i})/(1-t^{lam_i})."""
     factor = RatFunc(pt.zlambda(lam))

@@ -55,7 +55,6 @@ def _part_assignments(lam, rows):
                for j in range(len(rows)) if rows[j] >= first)
 
 
-@lru_cache(maxsize=None)
 def basis_to_m(basis, lam):
     """Expansion of a single-alphabet basis element into the m basis.
 
@@ -327,9 +326,10 @@ def _series(a, weight):
 
 
 def _adams(f, weight):
-    """sum_{r>=1} weight(r) (p_r o f), truncated."""
+    """sum_{r>=1} weight(r) (p_r o f), truncated.  f has zero constant term,
+    so p_r o f vanishes once r exceeds the degree N in each alphabet."""
     out = SymFunc.zero(f.k, f.N)
-    for r in range(1, f.k * f.N + 1):
+    for r in range(1, f.N + 1):
         w = weight(r)
         if w:
             out = out + plethysm_pr(r, f).scale(w)

@@ -253,6 +253,41 @@ def test_series_stdout_pinned(capsys, argv, expected):
     assert out == expected
 
 
+COUNT_R2_Q3 = """\
+{
+  "formula_value": "2",
+  "gl_order": 48,
+  "groupoid_count": "2",
+  "match": true,
+  "n": 2,
+  "orbits": [
+    {
+      "eigenvalues": [
+        [
+          2,
+          2
+        ]
+      ]
+    }
+  ],
+  "q": 3,
+  "raw_count": 96,
+  "surface": {
+    "k": 1,
+    "kind": "nonorientable",
+    "r": 2
+  }
+}
+"""
+
+
+def test_count_stdout_pinned(capsys):
+    code, out, err = run(capsys, "count", "--nonorientable", "--r", "2",
+                         "--n", "2", "--zeta", "-1", "--q", "3")
+    assert code == 0 and err == ""
+    assert out == COUNT_R2_Q3
+
+
 # sha256 of stdout for the largest stored forms the CLI prints: the
 # genus-2 E-series and the r = 4 mixed series for (2,1)|(2,1)
 @pytest.mark.parametrize("argv, digest", [
@@ -285,6 +320,18 @@ def test_count_cap_checked_before_formula(capsys, monkeypatch):
     code, _, err = run(capsys, "count", "--nonorientable", "--r", "2",
                        "--n", "3", "--q", "13", "--zeta", "3")
     assert code == 3 and "cap" in err
+
+
+def test_count_size_checked_before_genericity(capsys, monkeypatch):
+    # 1*I_3 is not generic, but the count is over the cap: the size is
+    # refused first, and the E-series, which refuses the orbit, never runs
+    def no_formula(*args, **kwargs):
+        raise AssertionError("the formula was computed for a refused count")
+
+    monkeypatch.setattr("charstacks.charstack.eseries", no_formula)
+    code, out, err = run(capsys, "count", "--nonorientable", "--r", "2",
+                         "--n", "3", "--zeta", "1", "--q", "13")
+    assert code == 3 and out == "" and "cap" in err
 
 
 @pytest.mark.parametrize("cap", [[], ["--cap", "1e40"]],

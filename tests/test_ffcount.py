@@ -210,6 +210,23 @@ def test_report_json():
     assert data["match"] is True
 
 
+def test_report_json_without_formula():
+    import json
+    rep = fc.count_orientable(1, [fc.FqOrbit.central(-1, 2, 3)], 3, 2)
+    data = json.loads(rep.to_json())
+    assert data["formula_value"] is None and data["match"] is None
+    assert data["surface"] == {"kind": "orientable", "g": 1, "k": 1}
+
+
+def test_count_surface_refused():
+    # the surface record comes from SurfaceSpec, which also validates it
+    orb = fc.FqOrbit.central(-1, 2, 3)
+    with pytest.raises(ValueError, match="nonorientable surface needs r >= 1"):
+        fc.count_nonorientable(0, [orb], 3, 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        fc.count_orientable(1, [], 3, 2)
+
+
 # -- element-level reference ------------------------------------------------------
 # The counting code this package used before it worked on class functions,
 # kept as the oracle for the class-function path: it convolves
