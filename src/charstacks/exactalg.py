@@ -7,19 +7,26 @@ both occur and no fractional exponents are ever needed.
 
 Rational functions are stored as num/den pairs of Laurent polynomials.
 Equality is decided by cross-multiplication; stored forms are NOT canonical.
-The one reduction rule: a sum that cross-multiplies (the two denominators
-differ) is returned in lowest terms by `RatFunc.simplified()`, since
-unreduced sums swell multiplicatively.  Products and quotients are reduced
-only where a caller asks.  A reduced value has one stored form: num and den
-have integer coefficients with coprime contents, den has min exponents 0
-and a positive leading coefficient in lex order on (z, w, q, t, u), and a
-monomial den is folded into num.  The gcd is the heuristic gcd of Char,
-Geddes & Gonnet (1989; Geddes, Czapor & Labahn 1992, section 7.7) on
-integer term dicts.  It evaluates at powers of two and reads the gcd and
-both cofactors from their images; its one certificate is that the gcd
-times each cofactor gives back the input, which by the theorem proves the
-candidate is the gcd.  There is no polynomial long division: the
-quotient by a non-monomial is read from the reduced fraction.
+Every sum is returned in lowest terms, since unreduced sums swell
+multiplicatively.  `RatFunc.sum` adds any number of terms over the lcm of
+their denominators (Knuth, TAOCP vol. 2, section 4.5.1, after Henrici
+1956): numerators over one denominator are added first, and each further
+denominator d costs a gcd of d and the running denominator only, where
+cross-multiplying by the whole of d would build common factors for the
+final gcd to cancel.  `a + b` is the sum of two terms, and a caller that
+accumulates many terms per coefficient collects them and sums them once.
+Products and quotients are reduced only where a caller asks.  A reduced
+value has one stored form: num and den have integer coefficients with
+coprime contents, den has min exponents 0 and a positive leading
+coefficient in lex order on (z, w, q, t, u), and a monomial den is folded
+into num, so the order of a sum's terms does not change its stored form.
+The gcd is the heuristic gcd of Char, Geddes & Gonnet (1989; Geddes,
+Czapor & Labahn 1992, section 7.7) on integer term dicts.  It evaluates at
+powers of two and reads the gcd and both cofactors from their images; its
+one certificate is that the gcd times each cofactor gives back the input,
+which by the theorem proves the candidate is the gcd.  There is no
+polynomial long division: the quotient by a non-monomial is read from the
+reduced fraction.
 
 A product by a single term c*x^e, the most common kind, adds e to each
 exponent of the other factor and multiplies each coefficient by c; by the
@@ -484,14 +491,34 @@ class RatFunc:
             return RatFunc(x)
         return None
 
+    @staticmethod
+    def sum(terms):
+        """The sum of the RatFuncs `terms`, in lowest terms.
+
+        Addends that share a denominator have their numerators added, and
+        a zero numerator is dropped.  The distinct denominators are then
+        brought to their lcm one at a time: with den/d = a/b in lowest
+        terms, which takes a gcd of the two denominators only,
+        num/den + n/d = (num*b + n*a)/(den*b).  The result is reduced once,
+        by `simplified()`.
+        """
+        nums = {}
+        for t in terms:
+            nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
+        parts = [(d, n) for d, n in nums.items() if not n.is_zero()]
+        if not parts:
+            return RatFunc(0)
+        (den, num), *rest = parts
+        for d, n in rest:
+            ratio = RatFunc(den, d).simplified()
+            num, den = num * ratio.den + n * ratio.num, den * ratio.den
+        return RatFunc(num, den).simplified()
+
     def __add__(self, other):
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den).simplified()
+        return RatFunc.sum((self, other))
 
     __radd__ = __add__
 

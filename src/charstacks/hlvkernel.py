@@ -50,6 +50,7 @@ def omega(m, k, N):
             out = {tuple(mu for mu, _ in combo):
                    hook * math.prod(v for _, v in combo)
                    for combo in itertools.product(pcoeffs.items(), repeat=k)}
+            # shape by shape: one sum per degree swells over its hooks' lcm
             total = total + SymFunc(k, N, out)
     return total
 

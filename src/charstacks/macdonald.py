@@ -48,7 +48,7 @@ def qt_inner(f, g):
     """The (q,t) Hall form on single-alphabet SymFunc values."""
     terms = [(a * g.coeffs[key] * _p_norm_factor(key[0])).simplified()
              for key, a in f.coeffs.items() if key in g.coeffs]
-    return sum(terms[1:], terms[0]) if terms else RatFunc(0)
+    return RatFunc.sum(terms)
 
 
 def _hhl_diagram(mu):

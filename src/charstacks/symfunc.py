@@ -123,13 +123,14 @@ def _table(src, dst, lam):
 
 def _transform(coeffs, src, dst):
     """Per-alphabet linear change of basis of a dict key -> RatFunc."""
-    out = {}
+    parts = {}
     for key, c in coeffs.items():
         tables = [_table(src, dst, mu) for mu in key]
         for combo in itertools.product(*(d.items() for d in tables)):
             newkey = tuple(mu for mu, _ in combo)
-            out[newkey] = out.get(newkey, ZERO) + c * math.prod(
-                f for _, f in combo)
+            parts.setdefault(newkey, []).append(
+                c * math.prod(f for _, f in combo))
+    out = {key: RatFunc.sum(cs) for key, cs in parts.items()}
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
@@ -222,15 +223,16 @@ class SymFunc:
         if isinstance(other, (int, Fraction, RatFunc)):
             return self.scale(other)
         self._check_compat(other)
-        out = {}
+        parts = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 if any(sum(a) + sum(b) > self.N for a, b in zip(k1, k2)):
                     continue
                 key = tuple(tuple(sorted(a + b, reverse=True))
                             for a, b in zip(k1, k2))
-                out[key] = out.get(key, ZERO) + c1 * c2
-        return SymFunc(self.k, self.N, out)
+                parts.setdefault(key, []).append(c1 * c2)
+        return SymFunc(self.k, self.N,
+                       {key: RatFunc.sum(cs) for key, cs in parts.items()})
 
     __rmul__ = __mul__
 
@@ -315,25 +317,29 @@ def plethysm_pr(r, f):
 def _series(a, weight):
     """sum_{j>=1} weight(j) a^j, truncated.  a has zero constant term, so
     a^j vanishes once j exceeds the total degree k N."""
-    out = SymFunc.zero(a.k, a.N)
+    parts = {}
     power = SymFunc.one(a.k, a.N)
     for j in range(1, a.k * a.N + 1):
         power = power * a
         if power.is_zero():
             break
-        out = out + power.scale(weight(j))
-    return out
+        for key, c in power.scale(weight(j)).coeffs.items():
+            parts.setdefault(key, []).append(c)
+    return SymFunc(a.k, a.N,
+                   {key: RatFunc.sum(cs) for key, cs in parts.items()})
 
 
 def _adams(f, weight):
     """sum_{r>=1} weight(r) (p_r o f), truncated.  f has zero constant term,
     so p_r o f vanishes once r exceeds the degree N in each alphabet."""
-    out = SymFunc.zero(f.k, f.N)
+    parts = {}
     for r in range(1, f.N + 1):
         w = weight(r)
         if w:
-            out = out + plethysm_pr(r, f).scale(w)
-    return out
+            for key, c in plethysm_pr(r, f).scale(w).coeffs.items():
+                parts.setdefault(key, []).append(c)
+    return SymFunc(f.k, f.N,
+                   {key: RatFunc.sum(cs) for key, cs in parts.items()})
 
 
 def ple_exp(f):

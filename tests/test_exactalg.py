@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -214,6 +215,9 @@ def test_sum_stored_in_lowest_terms():
     f = ONE / (Z * Z - ONE) + ONE / (Z - ONE)
     assert f.num == MPoly.parse("2 + 1*z^1")
     assert f.den == MPoly.parse("-1 + 1*z^2")
+    # addends over one denominator are reduced too
+    f = ONE / (Z * Z - ONE) + Z / (Z * Z - ONE)
+    assert (f.num, f.den) == (MPoly.const(1), MPoly.parse("-1 + 1*z^1"))
 
 
 def _random_unreduced(rng):
@@ -233,6 +237,50 @@ def test_sum_reduced_randomized():
         assert a.den != b.den
         for got, expected in ((a + b, (a + b).simplified()),
                               (ZERO + a, a.simplified())):
+            assert (got.num, got.den) == (expected.num, expected.den)
+
+
+def _cross_multiplied(terms):
+    """The sum rule `RatFunc.sum` replaced: cross-multiply over the product
+    of the denominators, then reduce once."""
+    num, den = MPoly(), MPoly.const(1)
+    for t in terms:
+        num, den = num * t.den + t.num * den, den * t.den
+    return RatFunc(num, den).simplified()
+
+
+def _random_addend(rng, earlier):
+    """One addend of a random sum; some reuse the denominator of, or
+    cancel, an earlier addend."""
+    kind = rng.randrange(7 if earlier else 5)
+    shift = MPoly.monomial(tuple(rng.randint(-2, 1) for _ in range(5)))
+    if kind == 0:
+        return _random_unreduced(rng)
+    if kind == 1:  # a monomial denominator, negative exponents included
+        return RatFunc(_random_rational_mpoly(rng), shift * rng.randint(1, 3))
+    if kind == 2:  # a constant denominator
+        return RatFunc(_random_rational_mpoly(rng),
+                       MPoly.const(Fraction(rng.randint(1, 3), 2)))
+    if kind == 3:  # a Laurent polynomial
+        return RatFunc(_random_rational_mpoly(rng) * shift)
+    if kind == 4:
+        return RatFunc(MPoly(), rng.choice((MPoly.const(1),
+                                            _random_unreduced(rng).den)))
+    other = rng.choice(earlier)
+    if kind == 5:
+        return RatFunc(_random_rational_mpoly(rng) * shift, other.den)
+    return -other
+
+
+def test_sum_matches_cross_multiplied_randomized():
+    rng = random.Random(29)
+    for _ in range(30):
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            terms.append(_random_addend(rng, terms))
+        expected = _cross_multiplied(terms)
+        for order in itertools.permutations(range(len(terms))):
+            got = RatFunc.sum([terms[i] for i in order])
             assert (got.num, got.den) == (expected.num, expected.den)
 
 
