@@ -18,10 +18,12 @@ minimal polynomial's degree, which determine the class for n <= 3, q odd.  A
 convolution is evaluated on one representative per class, summing over
 the elements of one factor's support: at most #classes x |GL| products
 instead of |GL|^2.  The raw count is the product's value at the
-identity.  A count holds each element with its class key, and one
-inverse per class.  This reproduces the raw tuple count exactly and
-stays brute force: no character table or formula value enters.  n = 2
-runs for every q <= 13; n = 3 only for q = 3.
+identity, so the last factor f is only paired there with the product d of
+the others: raw = sum over classes K of |K| f(K) d(K^-1).  A count holds
+each element with its class key, and one inverse per class.  This
+reproduces the raw tuple count exactly and stays brute force: no
+character table or formula value enters.  n = 2 runs for every q <= 13;
+n = 3 only for q = 3.
 """
 
 from __future__ import annotations
@@ -374,10 +376,13 @@ def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
     factors = [word(cls, q)] * copies if copies else []
     factors += [cls.class_function(Counter(cls.key[m] for m in o.members(q)))
                 for o in orbits]
-    dist = factors[0]
-    for f in factors[1:]:
+    # the last factor is paired with the others at the identity only; a
+    # genus 0 count has one factor, paired with the identity's indicator
+    dist = factors[0] if len(factors) > 1 else {one: 1}
+    for f in factors[1:-1]:
         dist = cls.convolve(f, dist, q)
-    raw = dist.get(one, 0)
+    raw = sum(len(cls.members[k]) * v * dist.get(cls.inverse[k], 0)
+              for k, v in factors[-1].items())
     groupoid = Fraction(raw, cls.order)
     return CountReport(
         surface=surface,

@@ -6,10 +6,13 @@ polynomial of lambda specialized at (z**2, w**2); HH_{mu,m} is the Hall
 pairing of the plethystic logarithm of that series against h_mu, cleared
 by the prefactor (z**2 - 1)(1 - w**2).
 
-HH_{mu,m} truncates Omega at |lambda| <= |mu|.  That is sound because the
-degree-n part of the plethystic logarithm only depends on the series up to
-degree n; test_truncation_stability asserts it on the paired Log at N and
-N + 1 rather than assuming it silently.
+HH_{mu,m} truncates Omega, its Log and the m view at the multipartition mu
+itself: a p-key is kept iff each of its partitions fits the matching row
+lengths of mu (symfunc.fits).  That is sound because the dropped keys span
+an ideal that products and plethysms preserve, and the m_mu coefficient
+reads only the p-keys that refine mu, all of which fit.
+test_truncation_stability asserts the degree form on the paired Log at N
+and N + 1, and the tests compare the bound mu against the row bound |mu|.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from .exactalg import ONE, Z, W
 from . import partitions as pt
 from .macdonald import specialized_H
-from .symfunc import SymFunc, ple_log, hall_pair_h
+from .symfunc import SymFunc, fits, ple_log, hall_pair_h
 
 
 def hook_H(m, lam):
@@ -38,18 +41,22 @@ def hook_H(m, lam):
 
 
 def omega(m, k, N):
-    """The kernel series in k alphabets: 1 + sum over 1 <= |lambda| <= N of
-    hook_H(m, lambda) * prod_i H_lambda(x_i; z**2, w**2)."""
-    if m < 0 or k < 1 or N < 1:
-        raise ValueError(f"invalid kernel parameters m={m}, k={k}, N={N}")
+    """The kernel series in k alphabets: 1 + sum over lambda of
+    hook_H(m, lambda) * prod_i H_lambda(x_i; z**2, w**2), truncated at the
+    bound N (an int, or one partition per alphabet; see SymFunc)."""
     total = SymFunc.one(k, N)
-    for n in range(1, N + 1):
+    size = min(map(sum, total.N), default=0)
+    if m < 0 or size < 1:
+        raise ValueError(f"invalid kernel parameters m={m}, k={k}, N={N}")
+    for n in range(1, size + 1):
         for lam in pt.enumerate_partitions(n):
             hook = hook_H(m, lam).simplified()
-            pcoeffs = {key[0]: c for key, c in specialized_H(lam).coeffs.items()}
+            pcoeffs = specialized_H(lam).coeffs
+            per_alphabet = [[(mu, c) for (mu,), c in pcoeffs.items()
+                             if fits(mu, rows)] for rows in total.N]
             out = {tuple(mu for mu, _ in combo):
                    hook * math.prod(v for _, v in combo)
-                   for combo in itertools.product(pcoeffs.items(), repeat=k)}
+                   for combo in itertools.product(*per_alphabet)}
             # shape by shape: one sum per degree swells over its hooks' lcm
             total = total + SymFunc(k, N, out)
     return total
@@ -57,8 +64,7 @@ def omega(m, k, N):
 
 def hlv_HH(mus, m):
     """HH_{mu,m}(z,w) = (z**2 - 1)(1 - w**2) <Plelog(Omega_m), h_mu>,
-    with Omega_m truncated at |lambda| <= |mu|."""
+    with Omega_m truncated at the keys that fit mu."""
     mus = pt.check_multipartition(mus)
-    N = sum(mus[0])
-    paired = hall_pair_h(ple_log(omega(m, len(mus), N)), mus)
+    paired = hall_pair_h(ple_log(omega(m, len(mus), mus)), mus)
     return ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()

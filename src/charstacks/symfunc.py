@@ -1,12 +1,20 @@
 """Truncated ring of functions symmetric in each of k alphabets.
 
 Elements are stored in the power-sum basis: a sparse map from k-tuples of
-partitions (one per alphabet, each of size <= N) to RatFunc coefficients,
-the key (lam_1, ..., lam_k) standing for p_lam_1(x_1) ... p_lam_k(x_k).
-In that basis a product merges partitions, one term per pair of keys, and
-the p_r plethysm multiplies every part by r and dilates the exponents of
-the coefficients.  Truncation drops any component whose degree in some
-alphabet exceeds N.
+partitions to RatFunc coefficients, the key (lam_1, ..., lam_k) standing
+for p_lam_1(x_1) ... p_lam_k(x_k).  In that basis a product merges
+partitions, one term per pair of keys, and the p_r plethysm multiplies
+every part by r and dilates the exponents of the coefficients.
+
+Truncation has one rule.  The bound N is one partition beta_i per
+alphabet, and a key is kept iff each lam_i fits beta_i: the parts of
+lam_i split into len(beta_i) groups, group j summing to at most
+beta_i[j] (`fits`).  An int N stands for the row bound ((N,),) * k, under
+which fitting is |lam_i| <= N.  The keys that do not fit span an ideal:
+if the union of two partitions fits, both fit; if r*lam fits, lam fits.
+So a product or a plethysm never reads a dropped key, and the ring is the
+quotient by that ideal.  Under the bound mu this is truncation at the
+monomial x^mu in len(mu_i) variables per alphabet.
 
 The m, h, e and s bases are views.  `to_basis` and `from_basis` change
 basis alphabet by alphabet through the m basis.  The basis -> m tables
@@ -14,7 +22,10 @@ are counts (exact Fractions): Kostka numbers give the s rows and, by
 Young's rule, the h and e rows, and the ways to distribute the parts of
 lam over rows give the p rows.  Per-degree matrix inversion gives the
 m -> basis tables.  Coefficient lookup, the Hall pairing against h and the
-text form read the m view.
+text form read the m view.  The m coefficient at a fitting key reads only
+p keys that refine it, which fit too, so the m view is exact at every key
+that fits and holds only those keys.  The s, h and e coefficients read p
+keys outside the ideal, so those views need a row bound.
 """
 
 from __future__ import annotations
@@ -41,6 +52,37 @@ def _kostka(lam, nu):
     size = sum(lam) - nu[-1]
     return sum(_kostka(tuple(x for x in kappa if x), nu[:-1])
                for kappa in strips if sum(kappa) == size)
+
+
+@lru_cache(maxsize=None)
+def fits(lam, rows):
+    """Whether the parts of lam split into len(rows) groups, group j
+    summing to at most rows[j].  Both are partitions, and the largest part
+    goes first into each distinct row that can take it."""
+    if sum(lam) > sum(rows):
+        return False
+    if not lam or len(rows) == 1:
+        return True
+    first = lam[0]
+    return any(
+        fits(lam[1:], tuple(x for x in sorted(
+            rows[:j] + (rows[j] - first,) + rows[j + 1:], reverse=True) if x))
+        for j in range(len(rows))
+        if rows[j] >= first and (j == 0 or rows[j] != rows[j - 1]))
+
+
+def _fits_key(key, bound):
+    return all(fits(lam, rows) for lam, rows in zip(key, bound))
+
+
+def _bound(k, N):
+    """The bound as one partition per alphabet; an int N is ((N,),) * k."""
+    if isinstance(N, int):
+        return ((N,),) * k
+    bound = tuple(tuple(rows) for rows in N)
+    if len(bound) != k:
+        raise ValueError("one bound partition per alphabet required")
+    return bound
 
 
 @lru_cache(maxsize=None)
@@ -112,21 +154,27 @@ def m_to_basis_table(basis, n):
 
 
 @lru_cache(maxsize=None)
-def _table(src, dst, lam):
-    """src_lam expanded in the dst basis, through the m basis."""
+def _table(src, dst, lam, rows):
+    """src_lam expanded in the dst basis, through the m basis, on the dst
+    partitions that fit rows."""
     out = {}
     for nu, a in basis_to_m(src, lam).items():
         for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
             out[mu] = out.get(mu, 0) + a * b
-    return {mu: c for mu, c in out.items() if c}
+    return tuple((mu, c) for mu, c in out.items() if c and fits(mu, rows))
 
 
-def _transform(coeffs, src, dst):
-    """Per-alphabet linear change of basis of a dict key -> RatFunc."""
+def _transform(coeffs, src, dst, bound):
+    """Per-alphabet linear change of basis of a dict key -> RatFunc, on
+    the dst keys that fit the bound."""
+    if {src, dst} - {"m", "p"} and any(len(rows) > 1 for rows in bound):
+        raise ValueError(
+            f"the {src} -> {dst} change of basis reads keys outside the "
+            f"truncation bound {bound}: it needs a bound of rows")
     parts = {}
     for key, c in coeffs.items():
-        tables = [_table(src, dst, mu) for mu in key]
-        for combo in itertools.product(*(d.items() for d in tables)):
+        tables = [_table(src, dst, mu, rows) for mu, rows in zip(key, bound)]
+        for combo in itertools.product(*tables):
             newkey = tuple(mu for mu, _ in combo)
             parts.setdefault(newkey, []).append(
                 c * math.prod(f for _, f in combo))
@@ -151,13 +199,16 @@ def _mobius(n):
 # -- the SymFunc container ---------------------------------------------------
 
 class SymFunc:
-    """Element of the truncated ring, stored in the power-sum basis."""
+    """Element of the truncated ring, stored in the power-sum basis.
+
+    N is the truncation bound, stored as one partition per alphabet; an
+    int N passed in stands for the row bound ((N,),) * k."""
 
     __slots__ = ("k", "N", "coeffs")
 
     def __init__(self, k, N, coeffs=None):
         self.k = k
-        self.N = N
+        self.N = _bound(k, N)
         self.coeffs = {}
         if coeffs:
             for key, c in coeffs.items():
@@ -183,10 +234,14 @@ class SymFunc:
         return self.coeffs.get(((),) * self.k, ZERO)
 
     def coefficient(self, key):
-        """The m_key coefficient; key has one partition per alphabet."""
+        """The m_key coefficient; key has one partition per alphabet, and
+        must fit the bound for the coefficient to be exact."""
         key = tuple(tuple(mu) for mu in key)
         if len(key) != self.k:
             raise ValueError("one partition per alphabet required")
+        if not _fits_key(key, self.N):
+            raise ValueError(f"key {key} does not fit the truncation bound "
+                             f"{self.N}")
         return self.to_basis("m").get(key, ZERO)
 
     def __eq__(self, other):
@@ -226,10 +281,10 @@ class SymFunc:
         parts = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
-                if any(sum(a) + sum(b) > self.N for a, b in zip(k1, k2)):
-                    continue
                 key = tuple(tuple(sorted(a + b, reverse=True))
                             for a, b in zip(k1, k2))
+                if not _fits_key(key, self.N):
+                    continue
                 parts.setdefault(key, []).append(c1 * c2)
         return SymFunc(self.k, self.N,
                        {key: RatFunc.sum(cs) for key, cs in parts.items()})
@@ -247,12 +302,13 @@ class SymFunc:
 
     def to_basis(self, basis):
         """Coefficients of self in the given basis (dict key -> RatFunc)."""
-        return _transform(self.coeffs, "p", basis)
+        return _transform(self.coeffs, "p", basis, self.N)
 
     @staticmethod
     def from_basis(basis, coeffs, k, N):
         """Assemble from a dict key -> RatFunc of coefficients in `basis`."""
-        return SymFunc(k, N, _transform(coeffs, basis, "p"))
+        N = _bound(k, N)
+        return SymFunc(k, N, _transform(coeffs, basis, "p", N))
 
     # -- text form (m basis) ---------------------------------------------------
 
@@ -289,16 +345,13 @@ def basis_element(basis, mus, k=None, N=None):
         raise ValueError("one partition per alphabet required")
     if N is None:
         N = max((sum(mu) for mu in mus), default=1) or 1
-    if any(sum(mu) > N for mu in mus):
-        raise ValueError("degree exceeds truncation bound N")
+    if not _fits_key(mus, _bound(k, N)):
+        raise ValueError(f"{mus} does not fit the truncation bound {N}")
     return SymFunc.from_basis(basis, {mus: ONE}, k, N)
 
 
 def hall_pair_h(f, mus):
     """<f, h_mus> under the Hall form: the m_mus coefficient of f."""
-    mus = tuple(tuple(mu) for mu in mus)
-    if any(sum(mu) > f.N for mu in mus):
-        raise ValueError("degree exceeds truncation bound N")
     return f.coefficient(mus)
 
 
@@ -309,17 +362,17 @@ def plethysm_pr(r, f):
     out = {}
     for key, c in f.coeffs.items():
         newkey = tuple(tuple(r * part for part in mu) for mu in key)
-        if all(sum(mu) <= f.N for mu in newkey):
+        if _fits_key(newkey, f.N):
             out[newkey] = c.scale_exponents(r)
     return SymFunc(f.k, f.N, out)
 
 
 def _series(a, weight):
     """sum_{j>=1} weight(j) a^j, truncated.  a has zero constant term, so
-    a^j vanishes once j exceeds the total degree k N."""
+    a^j vanishes once j exceeds the total size of the bound."""
     parts = {}
     power = SymFunc.one(a.k, a.N)
-    for j in range(1, a.k * a.N + 1):
+    for j in range(1, sum(map(sum, a.N)) + 1):
         power = power * a
         if power.is_zero():
             break
@@ -331,9 +384,9 @@ def _series(a, weight):
 
 def _adams(f, weight):
     """sum_{r>=1} weight(r) (p_r o f), truncated.  f has zero constant term,
-    so p_r o f vanishes once r exceeds the degree N in each alphabet."""
+    so p_r o f vanishes once r exceeds the largest row of the bound."""
     parts = {}
-    for r in range(1, f.N + 1):
+    for r in range(1, max((rows[0] for rows in f.N if rows), default=0) + 1):
         w = weight(r)
         if w:
             for key, c in plethysm_pr(r, f).scale(w).coeffs.items():

@@ -302,6 +302,20 @@ def test_large_series_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout for two multi-row jobs that truncate at mu below its
+# degree: a cli-small series job and a text HH of two different shapes
+@pytest.mark.parametrize("argv, digest", [
+    (["eseries", "--nonorientable", "--r", "1", "--mu", "(2,1)|(2,1)"],
+     "f7c2eb0bc801e1791b7c7c5b5137dae936103f762d57add6a2f73e2d8569619a"),
+    (["--format", "text", "hlv", "--mu", "(2,1)|(1,1,1)", "--m", "1"],
+     "dad22101da13314028a8c5d2826b9283d781c8a215b671c9fcae4d3dfed0524b"),
+], ids=["eseries-r1-21-21", "hlv-m1-21-111"])
+def test_multi_row_stdout_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_count_gl3_guard_names_itself(capsys):
     # the guard on enumerating GL_3(F_q), q > 3, is not the user's cap
     code, out, err = run(capsys, "count", "--nonorientable", "--r", "1",

@@ -87,6 +87,23 @@ def test_truncation_stability():
             hall_pair_h(ple_log(omega(m, k, N + 1)), mus)
 
 
+MU_CASES = [
+    *((((2, 1), (2, 1)), m) for m in (0, 1, 2, 4)),
+    (((2,), (1, 1)), 2), (((1, 1), (2,)), 2), (((2, 1), (1, 1, 1)), 1),
+    (((3, 1),), 1), (((2, 2),), 1), (((2, 1, 1),), 1), (((3, 2),), 1),
+    (((1, 1), (1, 1), (1, 1)), 2),
+]
+
+
+@pytest.mark.parametrize("mus, m", MU_CASES, ids=[
+    "|".join(map(pt.partition_text, mus)) + f"-m{m}" for mus, m in MU_CASES])
+def test_truncation_at_mu_matches_row_bound(mus, m):
+    # hlv_HH truncates at mu itself; the row bound |mu| is the oracle
+    k, N = len(mus), sum(mus[0])
+    assert hall_pair_h(ple_log(omega(m, k, mus)), mus) == \
+        hall_pair_h(ple_log(omega(m, k, N)), mus)
+
+
 def test_sign_flip_symmetry():
     # empirically HH(-z,-w) = (-1)^(m n) HH(z,w) on every computed instance;
     # the sign cancels against the (t u)^d prefactor, which is what makes

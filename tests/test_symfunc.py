@@ -7,7 +7,7 @@ import pytest
 
 from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W, Q, T
-from charstacks.symfunc import (SymFunc, basis_element, basis_to_m,
+from charstacks.symfunc import (SymFunc, basis_element, basis_to_m, fits,
                                 hall_pair_h, plethysm_pr, ple_exp, ple_log)
 
 
@@ -256,3 +256,70 @@ def test_exp_log_inversion_randomized():
 def test_text_roundtrip():
     f = basis_element("s", ((2, 1), (1, 1, 1)), 2, 3).scale(Q * T)
     assert SymFunc.parse(f.text(), 2, 3) == f
+
+
+# -- truncation at a bound of several rows -----------------------------------
+
+def _fits_by_assignment(lam, rows):
+    """Try every way to put each part of lam into one of the rows."""
+    for rows_of_parts in itertools.product(range(len(rows)), repeat=len(lam)):
+        load = [0] * len(rows)
+        for part, j in zip(lam, rows_of_parts):
+            load[j] += part
+        if all(x <= cap for x, cap in zip(load, rows)):
+            return True
+    return False
+
+
+def test_fits_matches_assignment_oracle():
+    parts = [lam for n in range(7) for lam in pt.enumerate_partitions(n)]
+    for lam in parts:
+        for rows in parts:
+            assert fits(lam, rows) == _fits_by_assignment(lam, rows), \
+                (lam, rows)
+        assert fits(lam, (6,)) == (sum(lam) <= 6)
+
+
+def _restrict(f, bound):
+    """f read in the quotient by the keys that do not fit bound."""
+    return SymFunc(f.k, bound, {key: c for key, c in f.coeffs.items()
+                                if all(map(fits, key, bound))})
+
+
+def test_bound_is_an_ideal_randomized():
+    # reading in the quotient commutes with every ring operation
+    rng = random.Random(19)
+    for bound in (((2, 1),), ((1, 1, 1),), ((2, 1), (1, 1)), ((2,), (1, 1))):
+        k, N = len(bound), max(map(sum, bound))
+        for _ in range(3):
+            f = _random_symfunc(rng, k, N)
+            g = _random_symfunc(rng, k, N)
+            fb, gb = _restrict(f, bound), _restrict(g, bound)
+            assert _restrict(f * g, bound) == fb * gb
+            assert _restrict(plethysm_pr(2, f), bound) == plethysm_pr(2, fb)
+            assert _restrict(ple_exp(f), bound) == ple_exp(fb)
+            assert ple_log(ple_exp(fb)) == fb
+            assert {key: c for key, c in f.to_basis("m").items()
+                    if all(map(fits, key, bound))} == fb.to_basis("m")
+
+
+def test_key_outside_bound_refused():
+    f = basis_element("m", ((2, 1),), 1, ((2, 1),))
+    assert f.coefficient(((2, 1),)) == ONE
+    for key in (((3,),), ((1, 1, 1, 1),), ((2, 2),)):
+        with pytest.raises(ValueError, match="does not fit"):
+            f.coefficient(key)
+        with pytest.raises(ValueError, match="does not fit"):
+            hall_pair_h(f, key)
+        with pytest.raises(ValueError, match="does not fit"):
+            basis_element("m", key, 1, ((2, 1),))
+
+
+@pytest.mark.parametrize("basis", ["s", "h", "e"])
+def test_non_row_bound_refuses_views(basis):
+    f = basis_element("p", ((1, 1), (2,)), 2, ((1, 1), (2,)))
+    with pytest.raises(ValueError, match="bound of rows"):
+        f.to_basis(basis)
+    with pytest.raises(ValueError, match="bound of rows"):
+        SymFunc.from_basis(basis, {((1, 1), (2,)): ONE}, 2, ((1, 1), (2,)))
+    assert f.to_basis("m")[((1, 1), (2,))] == RatFunc(2)
