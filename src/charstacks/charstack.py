@@ -214,7 +214,8 @@ def _latex(f):
             if c.denominator == 1:
                 coef = str(c.numerator)
             else:
-                coef = f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+                sign = "-" if c < 0 else ""
+                coef = f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
             if body and coef == "1":
                 coef = ""
             elif body and coef == "-1":

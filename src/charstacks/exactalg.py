@@ -431,9 +431,6 @@ class MPoly:
 
     @staticmethod
     def parse(s):
-        s = s.strip()
-        if s == "0":
-            return MPoly()
         terms = {}
         for chunk in s.split(" + "):
             factors = chunk.strip().split("*")

@@ -28,8 +28,6 @@ def enumerate_partitions(n):
     """All partitions of n, in reverse lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return ((),)
     out = []
 
     def rec(rest, maxpart, prefix):

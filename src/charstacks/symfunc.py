@@ -7,25 +7,29 @@ partitions, one term per pair of keys, and the p_r plethysm multiplies
 every part by r and dilates the exponents of the coefficients.
 
 Truncation has one rule.  The bound N is one partition beta_i per
-alphabet, and a key is kept iff each lam_i fits beta_i: the parts of
-lam_i split into len(beta_i) groups, group j summing to at most
-beta_i[j] (`fits`).  An int N stands for the row bound ((N,),) * k, under
-which fitting is |lam_i| <= N.  The keys that do not fit span an ideal:
-if the union of two partitions fits, both fit; if r*lam fits, lam fits.
-So a product or a plethysm never reads a dropped key, and the ring is the
-quotient by that ideal.  Under the bound mu this is truncation at the
-monomial x^mu in len(mu_i) variables per alphabet.
+alphabet, and a key is kept iff each lam_i fits beta_i: lam_i, padded
+with parts 1, fills the rows of beta_i exactly, i.e.
+[m_beta_i] p_lam_i * p_1^(|beta_i| - |lam_i|) != 0 (`fits`).  An int N
+stands for the row bound ((N,),) * k, under which fitting is
+|lam_i| <= N.  Cutting a part into a smaller part and parts 1 keeps a
+filling, so the keys that do not fit span an ideal: if the union of two
+partitions fits, both fit; if r*lam fits, lam fits.  So a product or a
+plethysm never reads a dropped key, and the ring is the quotient by that
+ideal.  Under the bound mu this is truncation at the monomial x^mu in
+len(mu_i) variables per alphabet.
 
 The m, h, e and s bases are views.  `to_basis` and `from_basis` change
 basis alphabet by alphabet through the m basis.  The basis -> m tables
 are counts (exact Fractions): Kostka numbers give the s rows and, by
-Young's rule, the h and e rows, and the ways to distribute the parts of
-lam over rows give the p rows.  Per-degree matrix inversion gives the
-m -> basis tables.  Coefficient lookup, the Hall pairing against h and the
-text form read the m view.  The m coefficient at a fitting key reads only
-p keys that refine it, which fit too, so the m view is exact at every key
-that fits and holds only those keys.  The s, h and e coefficients read p
-keys outside the ideal, so those views need a row bound.
+Young's rule, the h and e rows, and `_part_assignments`, the count that
+`fits` reads, gives the p rows [m_nu] p_lam.  Per-degree matrix
+inversion gives the m -> basis tables.  Coefficient lookup, the Hall
+pairing against h and the text form read the m view, so the truncation,
+the p rows, the m view and the Hall pairing all read that one count.
+The m coefficient at a fitting key reads only p keys that refine it,
+which fit too, so the m view is exact at every key that fits and holds
+only those keys.  The s, h and e coefficients read p keys outside the
+ideal, so those views need a row bound.
 """
 
 from __future__ import annotations
@@ -57,18 +61,10 @@ def _kostka(lam, nu):
 @lru_cache(maxsize=None)
 def fits(lam, rows):
     """Whether the parts of lam split into len(rows) groups, group j
-    summing to at most rows[j].  Both are partitions, and the largest part
-    goes first into each distinct row that can take it."""
-    if sum(lam) > sum(rows):
-        return False
-    if not lam or len(rows) == 1:
-        return True
-    first = lam[0]
-    return any(
-        fits(lam[1:], tuple(x for x in sorted(
-            rows[:j] + (rows[j] - first,) + rows[j + 1:], reverse=True) if x))
-        for j in range(len(rows))
-        if rows[j] >= first and (j == 0 or rows[j] != rows[j - 1]))
+    summing to at most rows[j]: lam padded with parts 1 fills rows
+    exactly, i.e. [m_rows] p_lam * p_1^(|rows| - |lam|) != 0."""
+    slack = sum(rows) - sum(lam)
+    return slack >= 0 and _part_assignments(lam + (1,) * slack, rows) > 0
 
 
 def _fits_key(key, bound):
@@ -336,15 +332,11 @@ class SymFunc:
         return f"SymFunc(k={self.k}, N={self.N},\n{self.text()})"
 
 
-def basis_element(basis, mus, k=None, N=None):
+def basis_element(basis, mus, k, N):
     """The named basis element b_mu1(x_1) * ... * b_muk(x_k)."""
     mus = tuple(tuple(mu) for mu in mus)
-    if k is None:
-        k = len(mus)
     if len(mus) != k:
         raise ValueError("one partition per alphabet required")
-    if N is None:
-        N = max((sum(mu) for mu in mus), default=1) or 1
     if not _fits_key(mus, _bound(k, N)):
         raise ValueError(f"{mus} does not fit the truncation bound {N}")
     return SymFunc.from_basis(basis, {mus: ONE}, k, N)

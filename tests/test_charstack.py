@@ -137,6 +137,17 @@ def test_half_integer_powers_reported():
     assert not rep.half_integer_powers
 
 
+@pytest.mark.parametrize("text, latex", [
+    ("0", "0"),
+    ("1/2*q^1 + 1*q^2", "\\frac{1}{2}q + q^{2}"),
+    ("1 + 1/2*q^1", "1 + \\frac{1}{2}q"),
+    ("-1/2*q^1 + 1*q^2", "-\\frac{1}{2}q + q^{2}"),
+    ("1 + -1/2*q^1", "1 - \\frac{1}{2}q"),
+])
+def test_latex_sign_outside_fraction(text, latex):
+    assert charstack._latex(RatFunc.parse(text)) == latex
+
+
 def test_report_json_schema():
     rep = eseries(nonorientable(2, 1), ((2,),),
                   orbits=[OrbitSpec.central(Fraction(1, 2), 2)])

@@ -146,6 +146,8 @@ def test_eval_of_substitute_composes():
 def test_text_roundtrip():
     f = (Z - W) ** 2 / (Q * T * T - ONE)
     assert RatFunc.parse(f.text()) == f
+    assert MPoly.parse("0") == MPoly()
+    assert RatFunc.parse("0").is_zero()
 
 
 def _stored_form(p):

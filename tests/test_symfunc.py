@@ -7,8 +7,9 @@ import pytest
 
 from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W, Q, T
-from charstacks.symfunc import (SymFunc, basis_element, basis_to_m, fits,
-                                hall_pair_h, plethysm_pr, ple_exp, ple_log)
+from charstacks.symfunc import (SymFunc, _mobius, basis_element, basis_to_m,
+                                fits, hall_pair_h, plethysm_pr, ple_exp,
+                                ple_log)
 
 
 def one_alphabet(basis, lam, N=None):
@@ -323,3 +324,12 @@ def test_non_row_bound_refuses_views(basis):
     with pytest.raises(ValueError, match="bound of rows"):
         SymFunc.from_basis(basis, {((1, 1), (2,)): ONE}, 2, ((1, 1), (2,)))
     assert f.to_basis("m")[((1, 1), (2,))] == RatFunc(2)
+
+
+def test_mobius_matches_factorisation():
+    for n in range(1, 61):
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % d for d in range(2, p))]
+        squarefree = all(n % (p * p) for p in primes)
+        expected = (-1) ** len(primes) if squarefree else 0
+        assert _mobius(n) == expected, n
