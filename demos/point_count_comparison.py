@@ -19,10 +19,16 @@ ROWS = [
      (3, 5, 7, 11), lambda orb, q: fc.count_nonorientable(2, [orb], q, 1)),
     ("nonorientable r=3, n=1", nonorientable(3, 1), ((1,),), 1, 1,
      (3, 5, 7, 11), lambda orb, q: fc.count_nonorientable(3, [orb], q, 1)),
+    ("nonorientable r=1, n=2, zeta=-1", nonorientable(1, 1), ((2,),), 2, -1,
+     (3, 5, 7, 11, 13), lambda orb, q: fc.count_nonorientable(1, [orb], q, 2)),
     ("nonorientable r=2, n=2, zeta=-1", nonorientable(2, 1), ((2,),), 2, -1,
      (3, 5, 7, 11, 13), lambda orb, q: fc.count_nonorientable(2, [orb], q, 2)),
+    ("nonorientable r=3, n=2, zeta=-1", nonorientable(3, 1), ((2,),), 2, -1,
+     (3, 5, 7, 11, 13), lambda orb, q: fc.count_nonorientable(3, [orb], q, 2)),
     ("orientable g=1, n=2, zeta=-1", orientable(1, 1), ((2,),), 2, -1,
      (3, 5, 7, 11, 13), lambda orb, q: fc.count_orientable(1, [orb], q, 2)),
+    ("orientable g=2, n=2, zeta=-1", orientable(2, 1), ((2,),), 2, -1,
+     (3, 5, 7, 11), lambda orb, q: fc.count_orientable(2, [orb], q, 2)),
 ]
 
 mismatches = 0

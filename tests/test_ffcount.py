@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -171,7 +172,7 @@ def test_convolve_matches_element_oracle():
     q = 3
     classes = fc._Classes.of(2, q)
     for k1, k2 in itertools.product(classes.members, repeat=2):
-        got = classes.convolve({k1: 1}, {k2: 1}, q)
+        got = classes.convolve({k1: 1}, {k2: 1}, q, classes.members)
         want = _convolve(dict.fromkeys(classes.members[k1], 1),
                          dict.fromkeys(classes.members[k2], 1), q)
         assert {a: v for k, v in got.items()
@@ -225,6 +226,112 @@ def test_count_surface_refused():
         fc.count_nonorientable(0, [orb], 3, 2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         fc.count_orientable(1, [], 3, 2)
+
+
+# -- matrix kernels against their definitions -------------------------------------
+
+def _triple_loop_mul(a, b, q):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q
+                       for j in range(n)) for i in range(n))
+
+
+def _minor(a, i, j):
+    return tuple(tuple(x for c, x in enumerate(row) if c != j)
+                 for r, row in enumerate(a) if r != i)
+
+
+def _cofactor_det(a, q):
+    """Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _cofactor_det(_minor(a, 0, j), q)
+               for j in range(len(a))) % q
+
+
+@pytest.mark.parametrize("n, q", [(1, 5), (2, 3), (2, 5), (3, 3), (3, 5)])
+def test_matrix_kernels_match_definitions(n, q):
+    # on random matrices, singular ones among them: det by cofactors,
+    # mat_inv as the adjugate over the determinant, mat_mul by a triple loop
+    rng = random.Random(n * q)
+    for _ in range(300):
+        a, b = (tuple(tuple(rng.randrange(q) for _ in range(n))
+                      for _ in range(n)) for _ in range(2))
+        d = _cofactor_det(a, q)
+        assert fc.det(a, q) == d
+        assert mat_mul(a, b, q) == _triple_loop_mul(a, b, q)
+        if d:
+            dinv = pow(d, q - 2, q)
+            assert mat_inv(a, q) == tuple(
+                tuple((-1) ** (i + j) * _cofactor_det(_minor(a, j, i), q)
+                      * dinv % q for j in range(n)) for i in range(n))
+
+
+def _eliminated_rank(rows, q):
+    """Rank over F_q of a list of equal-length rows, by Gaussian
+    elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], q - 2, q)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n, q", [(2, 5), (3, 3)])
+def test_class_key_degree_matches_elimination(n, q):
+    # the degree of the minimal polynomial is the rank of I, a, ..., a^(n-1)
+    degrees = Counter()
+    for a in enumerate_gl(n, q):
+        powers = [fc.identity(n)]
+        while len(powers) < n:
+            powers.append(mat_mul(powers[-1], a, q))
+        rank = _eliminated_rank([sum(p, ()) for p in powers], q)
+        assert fc._class_key(a, q)[1] == rank, a
+        degrees[rank] += 1
+    # every degree occurs: scalars, and for n = 3 the degree-2 classes
+    assert sorted(degrees) == list(range(1, n + 1))
+
+
+# -- golden raw counts ------------------------------------------------------------
+# Raw counts taken from the convolution over every class, before the
+# factor before the last was evaluated only where the last orbit reads
+# it.  An orbit is an int zeta (central zeta I) or split eigenvalues with
+# multiplicities.
+
+GOLDEN = [
+    # kind, r or g, orbits, q, n, raw count
+    ("nonorientable", 1, [-1], 7, 2, 6),
+    ("nonorientable", 2, [-1], 7, 2, 12096),
+    ("nonorientable", 3, [-1], 7, 2, 24312960),
+    ("orientable", 1, [-1], 7, 2, 12096),
+    ("nonorientable", 1, [-1], 11, 2, 10),
+    ("orientable", 1, [-1], 13, 2, 314496),
+    ("orientable", 2, [-1], 3, 2, 211200),
+    ("orientable", 2, [-1], 5, 2, 440094720),
+    ("orientable", 2, [-1], 7, 2, 49097664000),
+    ("nonorientable", 1, [-1, -1], 7, 2, 294),
+    ("orientable", 1, [1, -1], 7, 2, 12096),
+    ("nonorientable", 1, [((1, 1), (2, 1)), ((1, 1), (4, 1))], 7, 2, 30912),
+    ("nonorientable", 1, [1], 3, 3, 468),
+    ("orientable", 1, [1], 3, 3, 269568),
+]
+
+
+@pytest.mark.parametrize("kind, copies, orbits, q, n, raw", GOLDEN)
+def test_golden_raw_counts(kind, copies, orbits, q, n, raw):
+    orbs = [fc.FqOrbit.central(o, n, q) if isinstance(o, int)
+            else fc.FqOrbit.split(o, q) for o in orbits]
+    count = (fc.count_nonorientable if kind == "nonorientable"
+             else fc.count_orientable)
+    assert count(copies, orbs, q, n).raw_count == raw
 
 
 # -- element-level reference ------------------------------------------------------
