@@ -6,6 +6,7 @@ the actual mixed Poincare series of the character stack.
 Run:  python3 demos/counterexample_walkthrough.py
 """
 
+import json
 from fractions import Fraction
 
 from charstacks.exactalg import ONE, Q, T
@@ -54,4 +55,5 @@ print(f"(c) formula at t=-1 == E-series (q-1):   "
       f"{mix.value.substitute({'t': RatFunc(-1)}) == ese.value}")
 
 print("\n=== 6. Packaged report ===")
-print(counterexample_report(n, d).to_json())
+report = counterexample_report(n, d)
+print(json.dumps(report.as_dict(), indent=2, sort_keys=True))

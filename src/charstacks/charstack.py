@@ -19,11 +19,10 @@ refusal and its formula from one eseries call on its own orbit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import RatFunc, ONE, Q, T, U, VARS, u_to_q
+from .exactalg import RatFunc, ONE, Q, T, U, u_to_q
 from . import partitions as pt
 from .hlvkernel import hlv_HH
 
@@ -191,43 +190,6 @@ class SeriesReport:
             "log": self.log,
         }
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-    def to_latex(self):
-        return _latex(self.value)
-
-
-def _latex(f):
-    """LaTeX form of f, which must already be reduced: every caller passes
-    the output of hlv_HH or u_to_q."""
-
-    def poly(p):
-        if p.is_zero():
-            return "0"
-        parts = []
-        for e in sorted(p.terms):
-            c = p.terms[e]
-            body = "".join(
-                f"{VARS[i]}^{{{x}}}" if x != 1 else VARS[i]
-                for i, x in enumerate(e) if x)
-            if c.denominator == 1:
-                coef = str(c.numerator)
-            else:
-                sign = "-" if c < 0 else ""
-                coef = f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-            if body and coef == "1":
-                coef = ""
-            elif body and coef == "-1":
-                coef = "-"
-            parts.append(coef + body if body else coef)
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
-
-    if f.den.is_one():
-        return poly(f.num)
-    return f"\\frac{{{poly(f.num)}}}{{{poly(f.den)}}}"
-
 
 def d_mu(surface, mus):
     """d_mu = n^2 (m - 2 + k) + 2 - sum of squared parts, with m = r or 2g."""
@@ -312,9 +274,6 @@ class CounterexampleReport:
             },
             "confirmed": self.confirmed,
         }
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def counterexample_report(n, d):

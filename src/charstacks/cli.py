@@ -12,7 +12,9 @@ input outside the theory (e.g. `count` on a non-generic orbit, where the
 formula is not claimed), 3 resource cap exceeded.  `count` checks its
 size before the orbit's genericity, so an oversized count exits 3.
 
-Every invocation computes from scratch; no state persists between runs.
+The library returns reports as records (`as_dict()`); this module alone
+renders them as JSON, text or LaTeX.  Every invocation computes from
+scratch; no state persists between runs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from fractions import Fraction
 from . import charstack as cs
 from . import ffcount as fc
 from . import partitions as pt
+from .exactalg import VARS
 from .hlvkernel import hlv_HH
 
 EXIT_OK = 0
@@ -39,13 +42,45 @@ def parse_multipartition(s):
     return pt.check_multipartition(mus)
 
 
-def _emit(fmt, payload_json, payload_text, payload_latex):
+def _emit(fmt, record, text, latex):
+    """Print a report: its record as JSON, or its text or LaTeX form."""
     if fmt == "json":
-        print(payload_json)
+        print(json.dumps(record, indent=2, sort_keys=True))
     elif fmt == "latex":
-        print(payload_latex)
+        print(latex)
     else:
-        print(payload_text)
+        print(text)
+
+
+def _latex(f):
+    """LaTeX form of f, which must already be reduced: every caller passes
+    the output of hlv_HH or u_to_q."""
+
+    def poly(p):
+        if p.is_zero():
+            return "0"
+        parts = []
+        for e in sorted(p.terms):
+            c = p.terms[e]
+            body = "".join(
+                f"{VARS[i]}^{{{x}}}" if x != 1 else VARS[i]
+                for i, x in enumerate(e) if x)
+            if c.denominator == 1:
+                coef = str(c.numerator)
+            else:
+                sign = "-" if c < 0 else ""
+                coef = f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+            if body and coef == "1":
+                coef = ""
+            elif body and coef == "-1":
+                coef = "-"
+            parts.append(coef + body if body else coef)
+        out = " + ".join(parts)
+        return out.replace("+ -", "- ")
+
+    if f.den.is_one():
+        return poly(f.num)
+    return f"\\frac{{{poly(f.num)}}}{{{poly(f.den)}}}"
 
 
 def _surface_from_args(args, k):
@@ -64,10 +99,8 @@ def cmd_hlv(args):
     mus = parse_multipartition(args.mu)
     HH = hlv_HH(mus, args.m)
     text = HH.text()
-    out = json.dumps(
-        {"mu": [list(m) for m in mus], "m": args.m, "HH": text},
-        indent=2, sort_keys=True)
-    _emit(args.format, out, text, cs._latex(HH))
+    _emit(args.format, {"mu": [list(m) for m in mus], "m": args.m, "HH": text},
+          text, _latex(HH))
     return EXIT_OK
 
 
@@ -86,15 +119,16 @@ def cmd_series(args, which):
     orbits = _orbits_from_args(args, mus)
     fn = cs.eseries if which == "eseries" else cs.mixed_series
     report = fn(surface, mus, orbits=orbits)
-    _emit(args.format, report.to_json(), report.value.text(), report.to_latex())
+    _emit(args.format, report.as_dict(), report.value.text(),
+          _latex(report.value))
     return EXIT_OK
 
 
 def cmd_verify_counterexample(args):
     report = cs.counterexample_report(args.n, args.d)
-    _emit(args.format, report.to_json(),
+    _emit(args.format, report.as_dict(),
           "confirmed" if report.confirmed else "NOT confirmed",
-          cs._latex(report.mixed.value))
+          _latex(report.mixed.value))
     return EXIT_OK if report.confirmed else EXIT_FALSE
 
 
@@ -115,10 +149,8 @@ def cmd_count(args):
                    cost_cap=args.cap)
     text = (f"groupoid count {report.groupoid_count}"
             + ("" if report.match is None else f", match {report.match}"))
-    _emit(args.format, report.to_json(), text, str(report.groupoid_count))
-    if report.match is False:
-        return EXIT_FALSE
-    return EXIT_OK
+    _emit(args.format, report.as_dict(), text, str(report.groupoid_count))
+    return EXIT_FALSE if report.match is False else EXIT_OK
 
 
 def build_parser():
@@ -174,12 +206,10 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.run(args)
-    except fc.EnumerationTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_RESOURCE if isinstance(exc, fc.EnumerationTooLarge)
+                else EXIT_USAGE)
 
 
 def entry():

@@ -36,7 +36,6 @@ q = 3.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -175,6 +174,8 @@ class FqOrbit:
         vals = [v for v, _ in eigs]
         if 0 in vals or len(set(vals)) != len(vals):
             raise ValueError("eigenvalues must be distinct and nonzero")
+        if any(m < 1 for _, m in eigs):
+            raise ValueError("multiplicities must be >= 1")
         return FqOrbit(n=sum(m for _, m in eigs), eigenvalues=eigs)
 
     def is_central(self):
@@ -358,9 +359,6 @@ class CountReport:
         if self.formula_value is not None:
             d["formula_value"] = str(self.formula_value)
         return d
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def _estimate_cost(n, q, steps):

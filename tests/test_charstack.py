@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from charstacks import charstack
+from charstacks import charstack, cli
 from charstacks.exactalg import RatFunc, ONE, Q, T
 from charstacks.charstack import (OrbitSpec, nonorientable, orientable,
                                   is_generic, d_mu, eseries, mixed_series,
@@ -145,13 +145,13 @@ def test_half_integer_powers_reported():
     ("1 + -1/2*q^1", "1 - \\frac{1}{2}q"),
 ])
 def test_latex_sign_outside_fraction(text, latex):
-    assert charstack._latex(RatFunc.parse(text)) == latex
+    assert cli._latex(RatFunc.parse(text)) == latex
 
 
 def test_report_json_schema():
     rep = eseries(nonorientable(2, 1), ((2,),),
                   orbits=[OrbitSpec.central(Fraction(1, 2), 2)])
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.as_dict()))
     assert data["formula"] == "eseries-nonorientable"
     assert data["surface"]["kind"] == "nonorientable"
     assert data["generic"] is True

@@ -101,6 +101,14 @@ def test_genericity_finite_field():
     assert not cs.is_generic([o.as_angles(5) for o in (pair, pair)])[0]
 
 
+@pytest.mark.parametrize("eigs", [((2, 0), (3, 2)), ((2, -1), (3, 3))])
+def test_split_refuses_multiplicity_below_one(eigs):
+    # as OrbitSpec.make does: either tuple would make an n = 2 orbit of 3s
+    # whose record still lists the eigenvalue 2
+    with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+        fc.FqOrbit.split(eigs, 5)
+
+
 def test_genericity_finite_field_determinant():
     # over F_7, 2 has order 3: 2*I_1 has determinant 2 != 1, and 2*I_3 is
     # generic (2^3 = 1, and 2, 4 != 1)
@@ -205,7 +213,7 @@ def test_report_json():
     import json
     orb = fc.FqOrbit.central(-1, 2, 3)
     rep = fc.count_nonorientable(2, [orb], 3, 2, formula_value=Fraction(2))
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.as_dict()))
     assert data["raw_count"] == rep.raw_count
     assert data["groupoid_count"] == "2"
     assert data["match"] is True
@@ -214,7 +222,7 @@ def test_report_json():
 def test_report_json_without_formula():
     import json
     rep = fc.count_orientable(1, [fc.FqOrbit.central(-1, 2, 3)], 3, 2)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.as_dict()))
     assert data["formula_value"] is None and data["match"] is None
     assert data["surface"] == {"kind": "orientable", "g": 1, "k": 1}
 
@@ -332,6 +340,41 @@ def test_golden_raw_counts(kind, copies, orbits, q, n, raw):
     count = (fc.count_nonorientable if kind == "nonorientable"
              else fc.count_orientable)
     assert count(copies, orbs, q, n).raw_count == raw
+
+
+# -- counts against the E-series beyond one central orbit ---------------------
+
+
+def _first_generic(mus, q):
+    """The first generic tuple of orbits, one per row of mus with that row
+    as its eigenvalue multiplicities, in lexicographic eigenvalue order."""
+    choices = [[fc.FqOrbit.split(list(zip(vals, mu)), q)
+                for vals in itertools.permutations(range(1, q), len(mu))]
+               for mu in mus]
+    return next(list(orbits) for orbits in itertools.product(*choices)
+                if cs.is_generic([o.as_angles(q) for o in orbits])[0])
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("surface, mus", [
+    (cs.nonorientable(1, 1), ((1, 1),)),
+    (cs.nonorientable(2, 1), ((1, 1),)),
+    (cs.orientable(1, 1), ((1, 1),)),
+    (cs.nonorientable(1, 2), ((1, 1), (1, 1))),
+    (cs.nonorientable(1, 2), ((2,), (1, 1))),
+], ids=["r1-11", "r2-11", "g1-11", "r1-11-11", "r1-2-11"])
+def test_split_and_two_orbit_counts_match_eseries(surface, mus, q):
+    # no other test compares a count with a multi-row or multi-alphabet HH;
+    # at q = 7 the tuples are diag(2, 4), diag(1, 2) with diag(3, 6), and
+    # 1*I with diag(2, 4)
+    orbits = _first_generic(mus, q)
+    series = cs.eseries(surface, mus, [o.as_angles(q) for o in orbits])
+    assert series.generic and not series.half_integer_powers
+    if surface.kind == "nonorientable":
+        rep = fc.count_nonorientable(surface.r, orbits, q, 2)
+    else:
+        rep = fc.count_orientable(surface.g, orbits, q, 2)
+    assert rep.groupoid_count == series.value.eval({"q": Fraction(q)})
 
 
 # -- element-level reference ------------------------------------------------------

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W
 from charstacks.hlvkernel import hook_H, omega, hlv_HH
 from charstacks.macdonald import specialized_H
-from charstacks.symfunc import hall_pair_h, ple_log
+from charstacks.symfunc import _mobius, hall_pair_h, ple_log
 
 
 def test_hook_single_cell():
@@ -53,6 +55,65 @@ def test_HH_one_row_m2():
     # verdicts; at n = 1 it is test_HH_single_box
     for n in (2, 3, 4):
         assert hlv_HH(((n,),), 2) == (Z - W) ** 2, n
+
+
+# -- HH_{(n),m} at rational points, by Fraction arithmetic alone ---------------
+# In one variable H~_lambda(x) = x^|lambda|, so Omega(x) = 1 + sum_d a_d x^d
+# with a_d the sum of hook_H(m, lambda) over lambda |- d.  Its logarithm
+# sum_d l_d x^d has d l_d = d a_d - sum_{j<d} j l_j a_{d-j}, and the
+# plethystic logarithm maps (z, w) to (z^r, w^r) in its r-th term, so
+# HH_{(n),m} = (z^2-1)(1-w^2) sum_{r|n} mu(r)/r l_{n/r}(z^r, w^r).  No
+# RatFunc and no gcd enters.  At z > 1 > w > 0 no hook has a pole, and
+# neither has it at any dilated point.
+
+POINTS = [(Fraction(3, 2), Fraction(5, 7)), (Fraction(2), Fraction(1, 3))]
+
+
+def _hook_at(m, lam, z, w):
+    out = Fraction(1)
+    for s in pt.cells(lam):
+        a, l = pt.arm(lam, s), pt.leg(lam, s)
+        out *= ((z ** (2 * a + 1) - w ** (2 * l + 1)) ** m
+                / ((z ** (2 * a + 2) - w ** (2 * l))
+                   * (z ** (2 * a) - w ** (2 * l + 2))))
+    return out
+
+
+def _log_coeffs(m, top, z, w):
+    """[l_0, ..., l_top] of log Omega(x) at the point (z, w)."""
+    a = [sum(_hook_at(m, lam, z, w) for lam in pt.enumerate_partitions(d))
+         for d in range(top + 1)]
+    ell = [Fraction(0)] * (top + 1)
+    for d in range(1, top + 1):
+        ell[d] = (d * a[d] - sum(j * ell[j] * a[d - j]
+                                 for j in range(1, d))) / d
+    return ell
+
+
+def _HH_one_row_at(top, m, z, w):
+    """{n: HH_{(n),m}(z, w)} for every 1 <= n <= top."""
+    logs = {r: _log_coeffs(m, top // r, z ** r, w ** r)
+            for r in range(1, top + 1)}
+    return {n: (z * z - 1) * (1 - w * w)
+            * sum(Fraction(_mobius(r), r) * logs[r][n // r]
+                  for r in range(1, n + 1) if n % r == 0)
+            for n in range(1, top + 1)}
+
+
+@pytest.mark.parametrize("z, w", POINTS, ids=["3/2,5/7", "2,1/3"])
+def test_HH_one_row_m2_at_points(z, w):
+    # HH_{(n),2} = (z - w)^2 far beyond what the exact path reaches in
+    # tier-1; n <= 17 at both points takes about 1.6 s
+    values = _HH_one_row_at(17, 2, z, w)
+    assert all(v == (z - w) ** 2 for v in values.values())
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 3), (5, 1), (4, 0), (2, 5),
+                                  (3, 4)])
+def test_HH_one_row_matches_pointwise(n, m):
+    z, w = POINTS[0]
+    assert hlv_HH(((n,),), m).eval({"z": z, "w": w}) == \
+        _HH_one_row_at(n, m, z, w)[n]
 
 
 def test_HH_polynomiality_even_m():
