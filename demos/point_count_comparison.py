@@ -43,7 +43,7 @@ def first_generic(mus, q):
                 for vals in itertools.permutations(range(1, q), len(mu))]
                for mu in mus]
     return next(list(orbits) for orbits in itertools.product(*choices)
-                if is_generic([o.as_angles(q) for o in orbits])[0])
+                if is_generic([o.as_angles() for o in orbits])[0])
 
 
 def label(surface, mus):
@@ -62,14 +62,13 @@ mismatches = 0
 print(f"{'case':34} {'q':>3} {'orbits':26} {'brute force':>12} "
       f"{'formula':>10}  match")
 for surface, mus, primes in ROWS:
-    n = sum(mus[0])
     for q in primes:
         orbits = first_generic(mus, q)
-        formula = eseries(surface, mus, [o.as_angles(q) for o in orbits])
+        formula = eseries(surface, mus, [o.as_angles() for o in orbits])
         if surface.kind == "nonorientable":
-            rep = fc.count_nonorientable(surface.r, orbits, q, n)
+            rep = fc.count_nonorientable(surface.r, orbits)
         else:
-            rep = fc.count_orientable(surface.g, orbits, q, n)
+            rep = fc.count_orientable(surface.g, orbits)
         want = formula.value.eval({"q": Fraction(q)})
         ok = rep.groupoid_count == want
         mismatches += not ok

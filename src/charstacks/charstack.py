@@ -39,6 +39,8 @@ class OrbitSpec:
         eig = tuple((Fraction(a) % 1, int(m)) for a, m in pairs)
         if any(m < 1 for _, m in eig):
             raise ValueError("multiplicities must be >= 1")
+        if len({a for a, _ in eig}) != len(eig):
+            raise ValueError("angles must be distinct mod 1")
         return OrbitSpec(eig)
 
     @staticmethod
@@ -49,6 +51,11 @@ class OrbitSpec:
     @property
     def n(self):
         return sum(m for _, m in self.eigenvalues)
+
+    @property
+    def type(self):
+        """The multiplicities in descending order: a partition of n."""
+        return tuple(sorted((m for _, m in self.eigenvalues), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -222,12 +229,16 @@ def _series(kind, surface, mus, HH, generic):
 
 
 def _report(kind, surface, mus, orbits):
-    """_series on HH_{mu,m} and the orbits' verdict; a k mismatch and
-    non-generic orbits are refused before HH is computed."""
+    """_series on HH_{mu,m} and the orbits' verdict; a k mismatch,
+    non-generic orbits and orbits whose types are not mu are refused before
+    HH is computed."""
     mus = pt.check_multipartition(mus)
     d_mu(surface, mus)
     generic = None if orbits is None else _require_generic(
         orbits, "the orbits are")
+    types = None if orbits is None else tuple(o.type for o in orbits)
+    if types not in (None, mus):
+        raise ValueError(f"the orbits have types {types}, not mu = {mus}")
     return _series(kind, surface, mus, hlv_HH(mus, surface.m), generic)
 
 

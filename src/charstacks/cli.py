@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 success/verified, 1 verified-false, 2 usage error or an
 input outside the theory (e.g. `count` on a non-generic orbit, where the
-formula is not claimed), 3 resource cap exceeded.  `count` checks its
-size before the orbit's genericity, so an oversized count exits 3.
+formula is not claimed), 3 a count over ffcount's fixed budget or memory
+guard.  `count` checks its size before the orbit's genericity, so an
+oversized count exits 3, and adds `formula_value` and `match` to the
+library's count record.
 
 The library returns reports as records (`as_dict()`); this module alone
 renders them as JSON, text or LaTeX.  Every invocation computes from
@@ -139,18 +141,20 @@ def cmd_count(args):
     else:
         copies, count = args.g, fc.count_orientable
     # refuse a bad group or an oversized count before anything computes
-    fc.check_size(copies, 1, args.q, args.n, args.cap)
+    fc.check_size(copies, 1, args.q, args.n)
     orbit = fc.FqOrbit.central(args.zeta, args.n, args.q)
     # refuses a non-generic orbit, for which no formula is claimed
-    series = cs.eseries(surface, ((args.n,),), [orbit.as_angles(args.q)])
+    series = cs.eseries(surface, ((args.n,),), [orbit.as_angles()])
     formula = (None if series.half_integer_powers
                else series.value.eval({"q": Fraction(args.q)}))
-    report = count(copies, [orbit], args.q, args.n, formula_value=formula,
-                   cost_cap=args.cap)
+    report = count(copies, [orbit])
+    match = None if formula is None else report.groupoid_count == formula
+    record = dict(report.as_dict(), match=match,
+                  formula_value=None if formula is None else str(formula))
     text = (f"groupoid count {report.groupoid_count}"
-            + ("" if report.match is None else f", match {report.match}"))
-    _emit(args.format, report.as_dict(), text, str(report.groupoid_count))
-    return EXIT_FALSE if report.match is False else EXIT_OK
+            + ("" if match is None else f", match {match}"))
+    _emit(args.format, record, text, str(report.groupoid_count))
+    return EXIT_FALSE if match is False else EXIT_OK
 
 
 def build_parser():
@@ -192,7 +196,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--zeta", type=int, default=1)
-    p.add_argument("--cap", type=float, default=fc.DEFAULT_COST_CAP)
     p.set_defaults(run=cmd_count)
 
     return top

@@ -9,6 +9,9 @@ with Z_i / X_i constrained to prescribed semisimple conjugacy classes, and
 forms the exact groupoid count raw / |GL_n(F_q)| for comparison with the
 E-series formulas evaluated at q.
 
+An orbit carries its field: a count reads n and q off its orbits,
+refuses orbits that disagree, and compares with no formula (the CLI does).
+
 Matrices are tuples of tuples of residues.  The solution count is
 assembled by convolving exact distributions over GL_n: the number of D
 with D*theta(D) = g, of pairs with commutator g, and the indicator of
@@ -40,18 +43,17 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
-from math import isnan
 from operator import mul
 
 from . import charstack as cs
 
 MAX_PRIME = 13
-DEFAULT_COST_CAP = 10**9
+COST_CAP = 10**9
 
 
 class EnumerationTooLarge(ValueError):
     """Raised before starting an enumeration that is too large: its cost
-    exceeds the cap, or the group is too large to hold in memory."""
+    exceeds COST_CAP, or the group is too large to hold in memory."""
 
 
 def check_group(n, q):
@@ -133,13 +135,13 @@ def gl_order(n, q):
 
 
 def _check_memory(n, q):
-    """Refuse GL_3(F_q) for q > 3, whatever the cost cap: a count holds
-    every element of the group, with its class key."""
+    """Refuse GL_3(F_q) for q > 3, whose cost may be within COST_CAP: a
+    count holds every element of the group, with its class key."""
     if n == 3 and q > 3:
         raise EnumerationTooLarge(
             f"GL_3(F_{q}) has {gl_order(3, q):.2e} elements: a count holds "
             "every element in memory, so GL_3(F_q) is enumerated only at "
-            f"q = 3 ({gl_order(3, 3)} elements), whatever the cost cap")
+            f"q = 3 ({gl_order(3, 3)} elements)")
 
 
 def enumerate_gl(n, q):
@@ -156,17 +158,18 @@ def enumerate_gl(n, q):
 
 @dataclass(frozen=True)
 class FqOrbit:
-    """A semisimple conjugacy class: central zeta*I or a split class given by
-    distinct nonzero eigenvalues with multiplicities."""
+    """A semisimple conjugacy class of GL_n(F_q): central zeta*I or a split
+    class given by distinct nonzero eigenvalues with multiplicities."""
     n: int
     eigenvalues: tuple  # of (value mod q, multiplicity)
+    q: int
 
     @staticmethod
     def central(zeta, n, q):
         zeta %= q
         if zeta == 0:
             raise ValueError("zeta must be invertible")
-        return FqOrbit(n=n, eigenvalues=((zeta, n),))
+        return FqOrbit(n=n, eigenvalues=((zeta, n),), q=q)
 
     @staticmethod
     def split(eigs, q):
@@ -176,21 +179,21 @@ class FqOrbit:
             raise ValueError("eigenvalues must be distinct and nonzero")
         if any(m < 1 for _, m in eigs):
             raise ValueError("multiplicities must be >= 1")
-        return FqOrbit(n=sum(m for _, m in eigs), eigenvalues=eigs)
+        return FqOrbit(n=sum(m for _, m in eigs), eigenvalues=eigs, q=q)
 
     def is_central(self):
         return len(self.eigenvalues) == 1 and self.eigenvalues[0][1] == self.n
 
-    def representative(self, q):
+    def representative(self):
         diag = []
         for v, m in self.eigenvalues:
             diag.extend([v] * m)
         return tuple(tuple(diag[i] if i == j else 0 for j in range(self.n))
                      for i in range(self.n))
 
-    def members(self, q):
+    def members(self):
         """The full conjugacy class (materialized; central is a singleton)."""
-        rep = self.representative(q)
+        rep, q = self.representative(), self.q
         if self.is_central():
             return {rep}
         out = set()
@@ -198,12 +201,12 @@ class FqOrbit:
             out.add(mat_mul(mat_mul(g, rep, q), mat_inv(g, q), q))
         return out
 
-    def as_angles(self, q):
+    def as_angles(self):
         """The same orbit as an OrbitSpec: g^k maps to the angle k/(q-1),
         for a generator g of F_q^x, so that a product of eigenvalues is 1
         exactly when the sum of their angles is an integer."""
-        log = _discrete_log(q)
-        return cs.OrbitSpec.make([(Fraction(log[v], q - 1), m)
+        log = _discrete_log(self.q)
+        return cs.OrbitSpec.make([(Fraction(log[v], self.q - 1), m)
                                   for v, m in self.eigenvalues])
 
 
@@ -350,15 +353,9 @@ class CountReport:
     raw_count: int
     gl_order: int
     groupoid_count: Fraction
-    formula_value: Fraction = None
-    match: bool = None
 
     def as_dict(self):
-        d = asdict(self)
-        d["groupoid_count"] = str(self.groupoid_count)
-        if self.formula_value is not None:
-            d["formula_value"] = str(self.formula_value)
-        return d
+        return dict(asdict(self), groupoid_count=str(self.groupoid_count))
 
 
 def _estimate_cost(n, q, steps):
@@ -368,31 +365,32 @@ def _estimate_cost(n, q, steps):
     return float(q**n * gl_order(n, q) * max(steps, 1))
 
 
-def check_size(copies, k, q, n, cost_cap=DEFAULT_COST_CAP):
-    """Raise ValueError for a group outside `check_group` or a NaN cap
-    (which no estimate exceeds), and EnumerationTooLarge for a count of
-    `copies` factors and k orbits in GL_n(F_q) too large to run."""
+def check_size(copies, k, q, n):
+    """Raise ValueError for a group outside `check_group`, and
+    EnumerationTooLarge for a count of `copies` factors and k orbits in
+    GL_n(F_q) too large to run."""
     check_group(n, q)
-    if isnan(cost_cap):
-        raise ValueError(f"the cost cap must be a number: {cost_cap}")
     est = _estimate_cost(n, q, copies + k)
-    if est > cost_cap:
+    if est > COST_CAP:
         raise EnumerationTooLarge(
-            f"estimated {est:.2e} matrix operations exceeds cap {cost_cap:.0e} "
-            "(a count takes up to q^n classes x |GL_n(F_q)| products per step)")
+            f"estimated {est:.2e} matrix operations exceeds cap "
+            f"{COST_CAP:.0e} (a count takes up to q^n classes x "
+            "|GL_n(F_q)| products per step)")
     _check_memory(n, q)
 
 
-def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
+def _count(surface, word, copies, orbits):
     """Count the tuples of `copies` factors, each distributed as
     word(cls, q, at) on the classes `at`, then one element of each orbit,
-    whose product is 1."""
-    if any(o.n != n for o in orbits):
-        raise ValueError("orbit size mismatch")
-    check_size(copies, len(orbits), q, n, cost_cap)
+    whose product is 1.  n and q are the orbits' own."""
+    shared = {(o.n, o.q) for o in orbits}
+    if len(shared) != 1:
+        raise ValueError("orbits must share n and q")
+    (n, q), = shared
+    check_size(copies, len(orbits), q, n)
     cls = _Classes.of(n, q)
     *factors, last = [
-        cls.class_function(Counter(cls.key[m] for m in o.members(q)))
+        cls.class_function(Counter(cls.key[m] for m in o.members()))
         for o in orbits]
     # the last factor is paired with the product of the others at the
     # identity only, which reads that product on the classes inverse to the
@@ -409,26 +407,20 @@ def _count(surface, word, copies, orbits, q, n, formula_value, cost_cap):
         dist = cls.convolve(factors[-1], dist, q, at)
     raw = sum(len(cls.members[k]) * v * dist.get(cls.inverse[k], 0)
               for k, v in last.items())
-    groupoid = Fraction(raw, cls.order)
     return CountReport(
         surface=surface,
         orbits=[{"eigenvalues": list(o.eigenvalues)} for o in orbits],
         q=q, n=n, raw_count=raw, gl_order=cls.order,
-        groupoid_count=groupoid,
-        formula_value=formula_value,
-        match=None if formula_value is None else groupoid == formula_value,
-    )
+        groupoid_count=Fraction(raw, cls.order))
 
 
-def count_nonorientable(r, orbits, q, n, formula_value=None,
-                        cost_cap=DEFAULT_COST_CAP):
+def count_nonorientable(r, orbits):
     """Count tuples (D_1..D_r, Z_1..Z_k) solving the non-orientable relation."""
     return _count(cs.nonorientable(r, len(orbits)).as_dict(),
-                  _dtheta, r, orbits, q, n, formula_value, cost_cap)
+                  _dtheta, r, orbits)
 
 
-def count_orientable(g, orbits, q, n, formula_value=None,
-                     cost_cap=DEFAULT_COST_CAP):
+def count_orientable(g, orbits):
     """Count tuples (A_1,B_1..A_g,B_g, X_1..X_k) solving the genus-g relation."""
     return _count(cs.orientable(g, len(orbits)).as_dict(),
-                  _commutators, g, orbits, q, n, formula_value, cost_cap)
+                  _commutators, g, orbits)

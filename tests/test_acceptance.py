@@ -73,16 +73,14 @@ def test_criterion_4_eseries_vs_bruteforce():
         formula = eseries(nonorientable(r, 1), ((1,),)).value
         for q in (3, 5, 7):
             orb = fc.FqOrbit.central(1, 1, q)
-            rep = fc.count_nonorientable(
-                r, [orb], q, 1, formula_value=formula.eval({"q": q}))
-            assert rep.match, (r, q)
+            rep = fc.count_nonorientable(r, [orb])
+            assert rep.groupoid_count == formula.eval({"q": q}), (r, q)
     formula = eseries(nonorientable(2, 1), ((2,),)).value
     for q in (3, 5, 7):
         orb = fc.FqOrbit.central(-1, 2, q)
-        assert is_generic([orb.as_angles(q)])[0]
-        rep = fc.count_nonorientable(
-            2, [orb], q, 2, formula_value=formula.eval({"q": q}))
-        assert rep.match, q
+        assert is_generic([orb.as_angles()])[0]
+        rep = fc.count_nonorientable(2, [orb])
+        assert rep.groupoid_count == formula.eval({"q": q}), q
     _report(4, "eseries-vs-bruteforce", time.time() - t0, 60)
 
 
@@ -93,9 +91,8 @@ def test_criterion_5_orientable_crosscheck():
     assert ori == non == Q - ONE
     for q in (3, 5, 7):
         orb = fc.FqOrbit.central(-1, 2, q)
-        rep = fc.count_orientable(1, [orb], q, 2,
-                                  formula_value=ori.eval({"q": q}))
-        assert rep.match, q
+        rep = fc.count_orientable(1, [orb])
+        assert rep.groupoid_count == ori.eval({"q": q}), q
     _report(5, "orientable-crosscheck", time.time() - t0, 120)
 
 

@@ -61,6 +61,15 @@ def test_mismatched_n_rejected():
         is_generic([OrbitSpec.central(0, 2), OrbitSpec.central(0, 3)])
 
 
+def test_orbit_type_and_repeated_angles():
+    assert OrbitSpec.make([(Fraction(1, 3), 1), (Fraction(1, 4), 2)]).type \
+        == (2, 1)
+    assert OrbitSpec.central(Fraction(1, 2), 3).type == (3,)
+    # 0 and 1 are one angle: this would be I_2 with type (1,1)
+    with pytest.raises(ValueError, match="distinct mod 1"):
+        OrbitSpec.make([(0, 1), (1, 1)])
+
+
 def test_series_refusals_come_before_HH(monkeypatch):
     def no_HH(mus, m):
         raise AssertionError("HH computed for a refused input")
@@ -70,6 +79,15 @@ def test_series_refusals_come_before_HH(monkeypatch):
         eseries(nonorientable(2, 2), ((2,),))
     with pytest.raises(ValueError, match="at least one orbit"):
         mixed_series(nonorientable(2, 1), ((2,),), orbits=[])
+    # generic tuples whose types are not mu: one orbit of type (1,1) for
+    # mu = (2), and two orbits on a k = 1 surface
+    split = OrbitSpec.make([(Fraction(1, 8), 1), (Fraction(7, 8), 1)])
+    quarter = OrbitSpec.central(Fraction(1, 4), 2)
+    assert is_generic([split])[0] and is_generic([quarter, quarter])[0]
+    for fn in (eseries, mixed_series):
+        for orbits in ([split], [quarter, quarter]):
+            with pytest.raises(ValueError, match=r"not mu = \(\(2,\),\)"):
+                fn(nonorientable(2, 1), ((2,),), orbits)
 
 
 def test_d_mu():

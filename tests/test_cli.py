@@ -126,6 +126,16 @@ def test_series_nongeneric_refused(capsys, which):
     assert code == 0 and json.loads(out)["generic"] is True
 
 
+@pytest.mark.parametrize("which", ["eseries", "mixed"])
+def test_series_orbit_type_not_mu_refused(capsys, which):
+    # -I_2 has type (2): its count at r = 2 is q - 1, not the q^3 - 1 of
+    # (1,1), so a (1,1) series for it is refused, not printed
+    code, out, err = run(capsys, which, "--nonorientable", "--r", "2",
+                         "--mu", "(1,1)", "--central-angle", "1/2")
+    assert code == 2 and out == ""
+    assert "types ((2,),), not mu = ((1, 1),)" in err
+
+
 @pytest.mark.parametrize("q, message", [
     (0, "q must be an odd prime <= 13: 0"),
     (2, "q must be an odd prime <= 13: 2"),
@@ -317,13 +327,13 @@ def test_multi_row_stdout_pinned(capsys, argv, digest):
 
 
 def test_count_gl3_guard_names_itself(capsys):
-    # the guard on enumerating GL_3(F_q), q > 3, is not the user's cap
+    # GL_3(F_5) is within the cost cap; the guard on holding GL_3(F_q),
+    # q > 3, in memory refuses it, and says so
     code, out, err = run(capsys, "count", "--nonorientable", "--r", "1",
-                         "--n", "3", "--q", "7", "--zeta", "2",
-                         "--cap", "1e12")
+                         "--n", "3", "--q", "5", "--zeta", "2")
     assert code == 3 and out == ""
-    assert "3e+05" not in err and "cap 1e+12" not in err
-    assert "GL_3(F_7)" in err and "q = 3" in err
+    assert "cap" not in err
+    assert "GL_3(F_5)" in err and "q = 3" in err
 
 
 def test_count_cap_checked_before_formula(capsys, monkeypatch):
@@ -348,30 +358,16 @@ def test_count_size_checked_before_genericity(capsys, monkeypatch):
     assert code == 3 and out == "" and "cap" in err
 
 
-@pytest.mark.parametrize("cap", [[], ["--cap", "1e40"]],
-                         ids=["default-cap", "cap-1e40"])
-def test_count_n4_refused_as_usage(capsys, monkeypatch, cap):
+def test_count_n4_refused_as_usage(capsys, monkeypatch):
     # n outside 1..3 is a usage error, found before the cost estimate and
-    # before the formula, whatever the cap
+    # before the formula
     def no_formula(*args, **kwargs):
         raise AssertionError("the formula was computed for a refused count")
 
     monkeypatch.setattr("charstacks.charstack.eseries", no_formula)
     code, out, err = run(capsys, "count", "--nonorientable", "--r", "2",
-                         "--n", "4", "--zeta", "2", "--q", "5", *cap)
+                         "--n", "4", "--zeta", "2", "--q", "5")
     assert code == 2 and out == "" and "n <= 3" in err
-
-
-def test_count_nan_cap_refused_as_usage(capsys, monkeypatch):
-    # est > nan is never true, so a NaN cap would let this count run
-    def no_formula(*args, **kwargs):
-        raise AssertionError("the formula was computed for a refused count")
-
-    monkeypatch.setattr("charstacks.charstack.eseries", no_formula)
-    code, out, err = run(capsys, "count", "--nonorientable", "--r", "300",
-                         "--n", "2", "--q", "13", "--zeta", "-1",
-                         "--cap", "nan")
-    assert code == 2 and out == "" and "cost cap" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

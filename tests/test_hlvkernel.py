@@ -1,3 +1,6 @@
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,7 @@ import pytest
 from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W
 from charstacks.hlvkernel import hook_H, omega, hlv_HH
-from charstacks.macdonald import specialized_H
+from charstacks.macdonald import modified_H, specialized_H
 from charstacks.symfunc import _mobius, hall_pair_h, ple_log
 
 
@@ -163,6 +166,82 @@ def test_truncation_at_mu_matches_row_bound(mus, m):
     k, N = len(mus), sum(mus[0])
     assert hall_pair_h(ple_log(omega(m, k, mus)), mus) == \
         hall_pair_h(ple_log(omega(m, k, N)), mus)
+
+
+# -- HH_{mu,m} at rational points for multi-row mu ----------------------------
+# <Log Omega, h_mu> is the coefficient of x^mu, in len(mu_i) variables per
+# alphabet, of Log Omega = sum_r mu(r)/r p_r[log Omega]: the sum over r
+# dividing every part of mu(r)/r [x^(mu/r)] log Omega(x; z^r, w^r).  Omega
+# is taken as a Fraction power series in those variables, cut at the
+# exponents <= mu/r, with H~_lambda read off its m expansion at the point;
+# log(1 + A) = sum_j (-1)^(j+1) A^j / j.  No RatFunc gcd enters.
+
+
+@functools.lru_cache(maxsize=None)
+def _H_in_m(lam):
+    return tuple((nu, c) for (nu,), c in modified_H(lam).to_basis("m").items())
+
+
+def _series_mul(f, g, top):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if all(a <= b for a, b in zip(e, top)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _monomials(nu, rows):
+    """The exponents of m_nu in len(rows) variables that are <= rows."""
+    pad = len(rows) - len(nu)
+    return {e for e in itertools.permutations(nu + (0,) * pad)
+            if all(a <= b for a, b in zip(e, rows))} if pad >= 0 else set()
+
+
+def _log_coefficient(m, rows, z, w):
+    """[x^rows] log Omega(x; z, w), rows one partition per alphabet."""
+    top = sum(rows, ())
+    A = {}
+    for d in range(1, sum(rows[0]) + 1):
+        for lam in pt.enumerate_partitions(d):
+            # H~_lambda(x_i; z^2, w^2) at the point, per alphabet
+            H = [(nu, c.eval({"q": z * z, "t": w * w}))
+                 for nu, c in _H_in_m(lam)]
+            per_alphabet = [[(e, v) for nu, v in H for e in _monomials(nu, mu)]
+                            for mu in rows]
+            hook = _hook_at(m, lam, z, w)
+            for combo in itertools.product(*per_alphabet):
+                e = sum((e for e, _ in combo), ())
+                A[e] = A.get(e, 0) + hook * math.prod(v for _, v in combo)
+    power, out = A, A.get(top, 0)
+    for j in range(2, sum(top) + 1):
+        power = _series_mul(power, A, top)
+        out += Fraction((-1) ** (j + 1), j) * power.get(top, 0)
+    return out
+
+
+def _HH_at(mus, m, z, w):
+    parts = [p for mu in mus for p in mu]
+    return (z * z - 1) * (1 - w * w) * sum(
+        Fraction(_mobius(r), r) * _log_coefficient(
+            m, tuple(tuple(p // r for p in mu) for mu in mus), z ** r, w ** r)
+        for r in range(1, min(parts) + 1) if all(p % r == 0 for p in parts))
+
+
+POINTWISE_CASES = [
+    *MU_CASES, (((2, 1),), 2), (((2, 2),), 2), (((2,), (2,)), 2),
+]
+
+
+@pytest.mark.parametrize("mus, m", POINTWISE_CASES, ids=[
+    "|".join(map(pt.partition_text, mus)) + f"-m{m}"
+    for mus, m in POINTWISE_CASES])
+def test_HH_multi_row_matches_pointwise(mus, m):
+    # covers the benchmark's (2,1)|(2,1) at m = 4 and 1, (2,1) at m = 2 and
+    # (2)|(1,1) at m = 2; (2,2) and (2)|(2) bring in the r = 2 term
+    z, w = POINTS[0]
+    assert hlv_HH(mus, m).eval({"z": z, "w": w}) == _HH_at(mus, m, z, w)
 
 
 def test_sign_flip_symmetry():
