@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 success/verified, 1 verified-false, 2 usage error or an
 input outside the theory (e.g. `count` on a non-generic orbit, where the
 formula is not claimed), 3 a count over ffcount's fixed budget or memory
-guard.  `count` checks its size before the orbit's genericity, so an
-oversized count exits 3, and adds `formula_value` and `match` to the
-library's count record.
+guard, 4 an internal arithmetic failure (the heuristic gcd giving up), so
+that no verdict is read off a computation that did not finish.  `count`
+checks its size before the orbit's genericity, so an oversized count exits
+3, and adds `formula_value` and `match` to the library's count record.
 
 The library returns reports as records (`as_dict()`); this module alone
 renders them as JSON, text or LaTeX.  Every invocation computes from
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def parse_multipartition(s):
@@ -213,6 +215,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_RESOURCE if isinstance(exc, fc.EnumerationTooLarge)
                 else EXIT_USAGE)
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

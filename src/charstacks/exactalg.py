@@ -22,11 +22,13 @@ coefficient in lex order on (z, w, q, t, u), and a monomial den is folded
 into num, so the order of a sum's terms does not change its stored form.
 The gcd is the heuristic gcd of Char, Geddes & Gonnet (1989; Geddes,
 Czapor & Labahn 1992, section 7.7) on integer term dicts.  It evaluates at
-powers of two and reads the gcd and both cofactors from their images; its
-one certificate is that the gcd times each cofactor gives back the input,
-which by the theorem proves the candidate is the gcd.  There is no
-polynomial long division: the quotient by a non-monomial is read from the
-reduced fraction.
+powers of two and reads the gcd and both cofactors from their images.
+By the theorem the candidate is the gcd once the gcd times each cofactor
+gives back the input; a bound on their coefficients proves that without
+forming the products, which are formed only where the bound fails, and a
+constant candidate needs no proof.  There is no polynomial long
+division: the quotient by a non-monomial is read from the reduced
+fraction.
 
 A product by a single term c*x^e, the most common kind, adds e to each
 exponent of the other factor and multiplies each coefficient by c; by the
@@ -265,18 +267,31 @@ def _heugcd(f, g):
     nonnegative exponents, with h their gcd over Z up to sign.
 
     The heuristic gcd (Char, Geddes & Gonnet 1989; Geddes, Czapor &
-    Labahn 1992, section 7.7): the first variable in use is set to
-    xi = 2**b, the gcd of the images and their cofactors are taken
-    recursively, and h and the cofactors are read from balanced base-xi
-    digits, h with its content divided out.  By the theorem, a primitive
-    h so read is the gcd once it divides f and g and
-    xi >= 2 * min(|f|, |g|) + 2 (|.| the largest coefficient); the first
-    b makes xi > 4 * max(|f|, |g|).  The only certificate is the two
-    products h * (f/h) = f and h * (g/h) = g; if either fails, b doubles,
-    for at most six tries.
+    Labahn 1992, section 7.7): the content c is divided out, the first
+    variable in use is set to xi = 2**b, the gcd of the images and their
+    cofactors are taken recursively, and h and the cofactors are read
+    from balanced base-xi digits, h with its content divided out.  By the
+    theorem, a primitive h so read is the gcd once it divides f and g and
+    xi >= 2 * min(|f|, |g|) + 2, where |p| is the largest absolute value
+    of a coefficient of p and |p|_1 the sum of them.  The first b makes
+    xi > 64 * max(|f|, |g|): four bits past the 4 * max that meets the
+    theorem, so that the bound below holds at the first width on nearly
+    every level.
+
+    The checks, in order:
+    - an h that is a constant has primitive part 1, which divides f and
+      g, so the gcd is c and the cofactors are f/c and g/c;
+    - the bound |h|_1 * max(|f/h|, |g/h|) < xi/2 proves h * (f/h) = f
+      and h * (g/h) = g with no product: the level below certified the
+      images, so (h * (f/h))(xi) = f(xi) exactly; every coefficient in
+      the variable set to xi, of h * (f/h) by the bound and of f since
+      |f| < xi/4, lies strictly inside (-xi/2, xi/2); and balanced
+      base-xi digits are unique.  The same holds for g;
+    - otherwise the two products are formed and compared;
+    - if they differ too, b doubles, for at most six tries.
     """
-    used = [i for i in range(NVARS) if any(e[i] for e in f) or any(e[i] for e in g)]
-    if not used:
+    i = next((i for i, col in enumerate(zip(*f, *g)) if any(col)), None)
+    if i is None:
         a, b = f[ZERO_EXP], g[ZERO_EXP]
         h = gcd(a, b)
         return {ZERO_EXP: h}, {ZERO_EXP: a // h}, {ZERO_EXP: b // h}
@@ -284,17 +299,21 @@ def _heugcd(f, g):
     if c != 1:
         f = {e: v // c for e, v in f.items()}
         g = {e: v // c for e, v in g.items()}
-    i = used[0]
-    b = max(*map(abs, f.values()), *map(abs, g.values())).bit_length() + 2
+    b = max(*map(abs, f.values()), *map(abs, g.values())).bit_length() + 6
     for _ in range(6):
         # xi > 2 * |f|, so no image vanishes
         h, cf, cg = _heugcd(_evaluate(f, i, b), _evaluate(g, i, b))
         h = _interpolate(h, i, b)
+        if ZERO_EXP in h and len(h) == 1:
+            return {ZERO_EXP: c}, f, g
         hc = gcd(*h.values())
         h = {e: v // hc for e, v in h.items()}
         cf = _interpolate({e: v * hc for e, v in cf.items()}, i, b)
         cg = _interpolate({e: v * hc for e, v in cg.items()}, i, b)
-        if _mul(h, cf) == f and _mul(h, cg) == g:
+        if (sum(map(abs, h.values()))
+                * max(*map(abs, cf.values()), *map(abs, cg.values()))
+                < 1 << b - 1
+                or _mul(h, cf) == f and _mul(h, cg) == g):
             return {e: v * c for e, v in h.items()}, cf, cg
         b *= 2
     raise ArithmeticError("heuristic gcd failed")

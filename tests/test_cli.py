@@ -81,6 +81,19 @@ def test_verify_counterexample_bad_d(capsys):
     assert code == 2 and "error" in err
 
 
+def test_gcd_failure_is_not_a_verdict(capsys, monkeypatch):
+    # exit 1 means verified-false: a gcd that gives up must not look like it
+    from charstacks import exactalg
+
+    def fail(f, g):
+        raise ArithmeticError("heuristic gcd failed")
+    monkeypatch.setattr(exactalg, "_heugcd", fail)
+    code, out, err = run(capsys, "verify-counterexample", "--n", "3",
+                         "--d", "2")
+    assert (code, out) == (4, "")
+    assert err == "internal error: heuristic gcd failed\n"
+
+
 def test_count_flagship(capsys):
     code, out, _ = run(capsys, "count", "--nonorientable", "--r", "2",
                        "--n", "2", "--zeta", "-1", "--q", "3")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -470,21 +471,85 @@ def _power(p, n):
 
 # -- the heuristic gcd on inputs that stress its digit width -----------------
 
-def test_gcd_cofactor_outgrows_first_width(monkeypatch):
-    # (z + 1)^100 (z - 1)^7 / (z - 1)^7: the cofactor's coefficients exceed
-    # the dividend's, so xi = 2**88 from the dividend cannot hold them and
-    # the product check fails until b doubles
+def _heugcd_widths(monkeypatch):
+    """The list that gets the b of each evaluation by `_heugcd`."""
     widths = []
     evaluate = ea._evaluate
     monkeypatch.setattr(ea, "_evaluate",
                         lambda p, i, b: widths.append(b) or evaluate(p, i, b))
+    return widths
+
+
+def _heugcd_products(monkeypatch):
+    """The list that gets one entry per product formed by `_heugcd`."""
+    products = []
+    mul = ea._mul
+
+    def counted(f, g):
+        if sys._getframe(1).f_code is ea._heugcd.__code__:
+            products.append(1)
+        return mul(f, g)
+    monkeypatch.setattr(ea, "_mul", counted)
+    return products
+
+
+def test_gcd_cofactor_outgrows_first_width(monkeypatch):
+    # (z + 1)^100 (z - 1)^7 / (z - 1)^7: the cofactor's coefficients exceed
+    # the dividend's, so xi = 2**92 from the dividend cannot hold them and
+    # both certificates fail until b doubles
+    widths = _heugcd_widths(monkeypatch)
     g = _power(_univariate([-1, 1]), 7)
     q = _power(_univariate([1, 1]), 100)
     f = ea._school_mul(q, g)
     assert max(map(abs, f.values())).bit_length() == 86
     red = RatFunc(MPoly(f), MPoly(g)).simplified()
-    assert widths == [88, 88, 176, 176]
+    assert widths == [92, 92, 184, 184]
     assert (red.num.terms, red.den) == (q, MPoly.const(1))
+
+
+def test_gcd_bound_fails_products_hold(monkeypatch):
+    # h = 1 + z + ... + z^127 divides z^128 - 1 = h (z - 1) and h (z + 1):
+    # |h|_1 = 128 reaches xi/2 = 2**7 (xi = 2**8 from |h (z + 1)| = 2), so
+    # the bound cannot prove it and the two products do, at the first width
+    widths = _heugcd_widths(monkeypatch)
+    products = _heugcd_products(monkeypatch)
+    h = _univariate([1] * 128)
+    f = _univariate([-1] + [0] * 127 + [1])
+    g = ea._school_mul(h, _univariate([1, 1]))
+    red = RatFunc(MPoly(f), MPoly(g)).simplified()
+    assert (widths, len(products)) == ([8, 8], 2)
+    assert (red.num.terms, red.den.terms) == (_univariate([-1, 1]),
+                                             _univariate([1, 1]))
+
+
+def test_gcd_bound_refuses_wrapped_cofactor(monkeypatch):
+    # (z - 1) q / (z - 1) with q = 1 + 5z + ... + 257z^64 + ... + 5z^127 +
+    # z^128: the dividend's coefficients are +-1 and +-4, so xi = 2**9,
+    # and q's reach 257 > xi/2, so q is read wrapped, with digits up to
+    # 255.  |h|_1 = 2 times 255 is at least xi/2, so the bound refuses,
+    # the products refuse, and b doubles.  It is below xi, and 255 times
+    # |h|_inf = 1 is below xi/2: a bound against xi, or with |h|_inf in
+    # place of |h|_1, would accept the wrapped quotient
+    q = _univariate([1 + 4 * min(j, 128 - j) for j in range(129)])
+    h = _univariate([-1, 1])
+    f = ea._school_mul(h, q)
+    assert max(map(abs, f.values())) == 4
+    wrapped = ea._interpolate(ea._evaluate(q, 0, 9), 0, 9)
+    assert max(map(abs, wrapped.values())) == 255
+    widths = _heugcd_widths(monkeypatch)
+    red = RatFunc(MPoly(f), MPoly(h)).simplified()
+    assert widths == [9, 9, 18, 18]
+    assert (red.num.terms, red.den) == (q, MPoly.const(1))
+
+
+def test_hlv_gcds_proved_by_the_bound(monkeypatch):
+    # the extra bits of the first width let the bound prove all but one
+    # level of the gcds of HH_{(2,1)|(2,1), 4}; that level forms two products
+    from charstacks.hlvkernel import hlv_HH
+
+    products = _heugcd_products(monkeypatch)
+    hlv_HH(((2, 1), (2, 1)), 4)
+    assert len(products) <= 2
 
 
 def test_gcd_divisor_larger_than_dividend():
