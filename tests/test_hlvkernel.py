@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -262,3 +263,30 @@ def test_config_validation():
         omega(-1, 1, 1)
     with pytest.raises(ValueError):
         omega(2, 0, 1)
+
+
+# -- golden texts -------------------------------------------------------------
+# sha256 of hlv_HH(mus, m).text() as the p-basis implementation printed it.
+# The five take about 2.5 s in all on 2 cores (budget: 3 s); (4,2) at m = 1
+# is most of it.
+
+GOLDEN_HH = [
+    (((5,),), 2,
+     "b878e7f496478a316495089dfde50aac31617ab2b4fe973253ebd6f68060718a"),
+    (((4, 2),), 1,
+     "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    (((2, 1), (1, 1, 1)), 1,
+     "f286e8ca4030280a9bf0b80f87f62e3d77c883b2bd4a012fd5f04879bd024e04"),
+    (((1,), (1,), (1,)), 1,
+     "32faf3d02e03fc16700e8d422585a0e67d08af5c0377b7045f3771bf5239c941"),
+    (((2,), (2,), (1, 1)), 1,
+     "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+]
+
+
+@pytest.mark.parametrize("mus, m, digest", GOLDEN_HH, ids=[
+    "|".join(map(pt.partition_text, mus)) + f"-m{m}"
+    for mus, m, _ in GOLDEN_HH])
+def test_HH_golden_text(mus, m, digest):
+    text = hlv_HH(mus, m).text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from charstacks import partitions as pt
@@ -65,3 +67,50 @@ def test_P_triangular():
 
 def test_empty_partition_is_one():
     assert md.modified_H(()) == SymFunc.one(1, 1)
+
+
+# -- golden texts -------------------------------------------------------------
+# sha256 of the texts of modified_H(mu), schur_coefficients(mu) (sorted by
+# partition, each coefficient simplified) and macdonald_P(mu), joined by a
+# blank line, as the p-basis implementation printed them.  A change of the
+# stored basis must leave every one byte-identical.
+
+GOLDEN_TEXTS = {
+    (1,): "68f49c44f908e6f5a47d2828d7ea44f905e98f60bf418b906312d7ac995ca979",
+    (2,): "9bd1253e6e08f7b4bf824c36de889f4d3b66e9f1de2218154e3b372a944065ef",
+    (1, 1): "48ea52a17571acff1519693dae9c6cc8a8d78eecfe59c8544bfbdaba192da2ef",
+    (3,): "774cd1253c0420f7de4585144107f160aef3cb1b936114fd11b59ac54cd8372f",
+    (2, 1): "50acc2a649f39eb585948bd09e51c36c41f07697f67587c0e642bcf4582135a1",
+    (1, 1, 1):
+        "8d5d512e3dd16cf6aed7ca58480f358134c8504043e103991f267208b72902c2",
+    (4,): "1a6a0f302ebfc4de92fcbfe3b27f331754205d53637b063a3964e6cdfcec9dc5",
+    (3, 1): "a237c44cb63b18942899a2fe8da3595b408d944f48bada030145deaa525a41e0",
+    (2, 2): "82ae2e6ffaec3970f19a5493861da6c5077f926e1cc9f3aadc93bb82e49faa48",
+    (2, 1, 1):
+        "33266a34f080a06dd4d30d0b3eeb2f01ec0fc1ec643acc0bf7b2970a861a94fc",
+    (1, 1, 1, 1):
+        "d193fc1536a0d411dbae42dbbb4ff9ab486c6b757781f83fae38e0427cc478f0",
+    (5,): "0dc8dec108548cf5cf0aebdca583879e9d7c21cb4114d31ccc7db52a0a75f00a",
+    (4, 1): "518c358e37856bfa6f68349b58952b9aaf494e878297ac81228ba96a89e7f536",
+    (3, 2): "e1456039fa65f386ba21f02ce80abf480b0d49a22e888009f8bc447f640e6741",
+    (3, 1, 1):
+        "4dec2d9e9a396096ec852c49106b4259ee37e7c484aa83c58480fe564940c107",
+    (2, 2, 1):
+        "6fd5afc565cf9610ec1f52a37d5872bb6e8c56701d8b5a0f882402ee1a44d8e1",
+    (2, 1, 1, 1):
+        "9081569390ac1129753b6c6a3a88bd8c8643d3f3a36317833e417701ca6ad18d",
+    (1, 1, 1, 1, 1):
+        "f6494f8ce74ba3b4f0fb31be3a2f12b65b508be43b85ec78260154f32da7255d",
+}
+
+
+def test_golden_texts():
+    # about 0.3 s for all |mu| <= 5
+    for mu in _all_partitions_to(5):
+        schur = sorted(md.schur_coefficients(mu).items())
+        schur = "\n".join(f"{pt.partition_text(lam)} : {c.simplified().text()}"
+                          for lam, c in schur)
+        text = "\n\n".join((md.modified_H(mu).text(), schur,
+                             md.macdonald_P(mu).text()))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == GOLDEN_TEXTS[mu], mu
