@@ -46,8 +46,10 @@ A coefficient is a plain `int` when it is integral and a
 `fractions.Fraction` only when it is not.  The entry points (`MPoly()`,
 `const`, `var`, `monomial`, `parse`, `exact_div`) normalise
 to that form, and int + int and int * int stay int, so the series path
-runs on Python ints; a Fraction enters only with rational data, such as
-the 1/r scalings of the plethystic Log.  Arithmetic on a Fraction keeps a
+runs on Python ints: `symfunc` stores the basis p_lam / z_lam, in which
+H~_mu and Omega have integer coefficients.  A Fraction enters only with
+rational data, the 1/j and mu(r)/r weights of the plethystic Log and the
+rows of the basis views.  Arithmetic on a Fraction keeps a
 Fraction, which may be integral until the next entry point normalises it.
 The one hazard is `/` (or a negative power) between two ints, which gives
 a float: every coefficient quotient goes through `Fraction`, and a float

@@ -8,7 +8,8 @@ combinatorial formula for Macdonald polynomials, JAMS 18, 2005):
 H~_mu is symmetric, so its m_lam coefficient is the sum over the distinct
 fillings with content lam (lam_1 ones, lam_2 twos, ...): an integer
 polynomial in q and t, with no rational-function arithmetic and no gcd.
-SymFunc.from_basis turns these into the power-sum coefficients it stores.
+SymFunc.from_basis turns these into the coefficients it stores, in the
+basis p_lam / z_lam, where they are integer polynomials too.
 Conventions, in the French diagram (row 1, of length mu_1, at the bottom):
 
   * reading order: the top row first, then downwards, left to right
@@ -22,8 +23,9 @@ Conventions, in the French diagram (row 1, of length mu_1, at the bottom):
 
 The monic P_mu is derived from H~_mu by inverting the plethystic transform
 H~_mu = t^{n(mu)} J_mu[X/(1-t)](q, 1/t), J_mu = prod_s (1 - q^a t^{l+1}) P_mu,
-in the power-sum basis.  Nothing in either construction uses the (q,t)
-Hall form, so orthogonality of the P_mu under it is an independent
+key by key in the stored basis, where the plethysm X -> X/(1-t) is
+diagonal as in the power sums.  Nothing in either construction uses the
+(q,t) Hall form, so orthogonality of the P_mu under it is an independent
 certificate of H~_mu, next to Schur positivity and q<->t symmetry.
 """
 
@@ -37,8 +39,10 @@ from .symfunc import SymFunc
 
 
 def _p_norm_factor(lam):
-    """<p_lam, p_lam>_{q,t} = z_lam * prod_i (1-q^{lam_i})/(1-t^{lam_i})."""
-    factor = RatFunc(pt.zlambda(lam))
+    """<P_lam, P_lam>_{q,t} for the stored basis element P_lam = p_lam /
+    z_lam: <p_lam, p_lam>_{q,t} / z_lam^2 = prod_i (1-q^{lam_i}) /
+    (1-t^{lam_i}) / z_lam, with z_lam in the integer denominator."""
+    factor = RatFunc(1, pt.zlambda(lam))
     for part in lam:
         factor = factor * ((ONE - Q**part) / (ONE - T**part))
     return factor
@@ -101,8 +105,9 @@ def modified_H(mu):
 def macdonald_P(mu):
     """Monic Macdonald polynomial P_mu(x; q, t) as a SymFunc.
 
-    In the p basis, c_P(rho) = t^{n(mu)} c_H(rho)(q, 1/t)
-    * prod_i (1 - t^{rho_i}) / prod_{s in mu} (1 - q^{a(s)} t^{l(s)+1}).
+    In the stored basis, as in the p basis, c_P(rho) = t^{n(mu)}
+    c_H(rho)(q, 1/t) * prod_i (1 - t^{rho_i})
+    / prod_{s in mu} (1 - q^{a(s)} t^{l(s)+1}).
     """
     mu = pt.check_partition(mu)
     jscale = ONE

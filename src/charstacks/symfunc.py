@@ -1,10 +1,24 @@
 """Truncated ring of functions symmetric in each of k alphabets.
 
-Elements are stored in the power-sum basis: a sparse map from k-tuples of
-partitions to RatFunc coefficients, the key (lam_1, ..., lam_k) standing
-for p_lam_1(x_1) ... p_lam_k(x_k).  In that basis a product merges
-partitions, one term per pair of keys, and the p_r plethysm multiplies
-every part by r and dilates the exponents of the coefficients.
+Elements are stored in the basis dual to the power sums, P_lam =
+p_lam / z_lam: a sparse map from k-tuples of partitions to RatFunc
+coefficients, the key (lam_1, ..., lam_k) standing for P_lam_1(x_1) ...
+P_lam_k(x_k).  Three facts make that basis the one to store
+(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., I.2-I.4
+and I.8):
+
+  * every integral symmetric function has integral coefficients, since
+    the P_lam coefficient of f is <f, p_lam> = sum_nu [m_nu]f [h_nu]p_lam
+    and p_lam lies in Z[h];
+  * a product merges partitions, one term per pair of keys, times the
+    integer z_(a u b) / (z_a z_b) = prod_i C(m_i(a) + m_i(b), m_i(a));
+  * the p_r plethysm multiplies every part by r and dilates the exponents
+    of the coefficients, times r^len(lam), since z_(r lam) = r^len(lam)
+    z_lam.
+
+So H~_mu, Omega and their products run on integer coefficients, and
+rationals enter only through the weights of the plethystic Log and the
+views.
 
 Truncation has one rule.  The bound N is one partition beta_i per
 alphabet, and a key is kept iff each lam_i fits beta_i: lam_i, padded
@@ -18,20 +32,21 @@ plethysm never reads a dropped key, and the ring is the quotient by that
 ideal.  Under the bound mu this is truncation at the monomial x^mu in
 len(mu_i) variables per alphabet.
 
-The m, h, e and s bases are views.  `to_basis` and `from_basis` change
+The p basis is a view, the diagonal scaling p_lam = z_lam P_lam.  The
+m, h, e and s bases are views too: `to_basis` and `from_basis` change
 basis alphabet by alphabet through the m basis.  The basis -> m tables
 are counts (exact Fractions): Kostka numbers give the s rows and, by
 Young's rule, the h and e rows, and `_part_assignments`, the count that
-`fits` reads, gives the p rows [m_nu] p_lam.  Per-degree matrix
-inversion gives the m -> basis tables.  Coefficient lookup, the Hall
-pairing against h and the text form read the m view, so the truncation,
-the p rows, the m view and the Hall pairing all read that one count.
-The m coefficient at a fitting key reads only p keys that refine it,
-which fit too, so the m view is exact at every key that fits and holds
-only those keys.  The s, h and e coefficients read p keys outside the
-ideal, so those views need a row bound.
+`fits` reads, gives the p rows [m_nu] p_lam, and over z_lam the stored
+rows.  Per-degree matrix inversion gives the m -> basis tables; into the
+stored basis they are integers.  Coefficient lookup, the Hall pairing
+against h and the text form read the m view, so the truncation, the p
+rows, the m view and the Hall pairing all read that one count.  The m
+coefficient at a fitting key reads only keys that refine it, which fit
+too, so the m view is exact at every key that fits and holds only those
+keys.  The s, h and e coefficients read keys outside the ideal, so those
+views need a row bound.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -93,11 +108,25 @@ def _part_assignments(lam, rows):
                for j in range(len(rows)) if rows[j] >= first)
 
 
+# the stored basis P_lam = p_lam / z_lam, as a name for the basis tables
+STORED = "p/z"
+
+
+@lru_cache(maxsize=None)
+def _merge(a, b):
+    """The union of partitions a and b, and the integer z_(a u b) /
+    (z_a z_b) by which P_a P_b = p_(a u b) / (z_a z_b) is a multiple of
+    P_(a u b)."""
+    union = tuple(sorted(a + b, reverse=True))
+    return union, pt.zlambda(union) // (pt.zlambda(a) * pt.zlambda(b))
+
+
 def basis_to_m(basis, lam):
     """Expansion of a single-alphabet basis element into the m basis.
 
-    Returns a dict partition -> Fraction for basis in {m, h, e, p, s}.
-    [m_nu] p_lam counts part assignments and [m_nu] s_lam = K_{lam,nu}.
+    Returns a dict partition -> Fraction for basis in {m, h, e, p, s} and
+    the stored basis STORED.  [m_nu] p_lam counts part assignments,
+    [m_nu] P_lam is that count over z_lam, and [m_nu] s_lam = K_{lam,nu}.
     Young's rule h_lam = sum_kappa K_{kappa,lam} s_kappa, and its image
     e_lam = sum_kappa K_{kappa',lam} s_kappa under omega, give the h and e
     rows (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
@@ -106,8 +135,9 @@ def basis_to_m(basis, lam):
     if basis == "m":
         return {lam: Fraction(1)}
     parts = pt.enumerate_partitions(sum(lam))
-    if basis == "p":
-        row = [_part_assignments(lam, nu) for nu in parts]
+    if basis in ("p", STORED):
+        z = pt.zlambda(lam) if basis == STORED else 1
+        row = [Fraction(_part_assignments(lam, nu), z) for nu in parts]
     elif basis == "s":
         row = [_kostka(lam, nu) for nu in parts]
     elif basis in ("h", "e"):
@@ -151,19 +181,26 @@ def m_to_basis_table(basis, n):
 
 @lru_cache(maxsize=None)
 def _table(src, dst, lam, rows):
-    """src_lam expanded in the dst basis, through the m basis, on the dst
-    partitions that fit rows."""
-    out = {}
-    for nu, a in basis_to_m(src, lam).items():
-        for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
-            out[mu] = out.get(mu, 0) + a * b
-    return tuple((mu, c) for mu, c in out.items() if c and fits(mu, rows))
+    """src_lam expanded in the dst basis, on the dst partitions that fit
+    rows: between p and the stored basis the scaling p_lam = z_lam P_lam,
+    otherwise through the m basis.  Integral entries are ints."""
+    if {src, dst} == {"p", STORED}:
+        z = pt.zlambda(lam)
+        out = {lam: z if src == "p" else Fraction(1, z)}
+    else:
+        out = {}
+        for nu, a in basis_to_m(src, lam).items():
+            for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
+                out[mu] = out.get(mu, 0) + a * b
+    return tuple((mu, c.numerator if c.denominator == 1 else c)
+                 for mu, c in out.items() if c and fits(mu, rows))
 
 
 def _transform(coeffs, src, dst, bound):
     """Per-alphabet linear change of basis of a dict key -> RatFunc, on
     the dst keys that fit the bound."""
-    if {src, dst} - {"m", "p"} and any(len(rows) > 1 for rows in bound):
+    if {src, dst} - {"m", "p", STORED} and any(len(rows) > 1
+                                               for rows in bound):
         raise ValueError(
             f"the {src} -> {dst} change of basis reads keys outside the "
             f"truncation bound {bound}: it needs a bound of rows")
@@ -173,9 +210,19 @@ def _transform(coeffs, src, dst, bound):
         for combo in itertools.product(*tables):
             newkey = tuple(mu for mu, _ in combo)
             parts.setdefault(newkey, []).append(
-                c * math.prod(f for _, f in combo))
-    out = {key: RatFunc.sum(cs) for key, cs in parts.items()}
+                (c, math.prod(f for _, f in combo)))
+    out = {key: _combine(terms) for key, terms in parts.items()}
     return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _combine(terms):
+    """sum c * f over pairs (RatFunc c, rational f), with every f brought
+    to the lcm L of their denominators: c * f = c.num * (f L) / (c.den L),
+    so the numerators are summed on integer multiples."""
+    L = math.lcm(*(f.denominator for _, f in terms))
+    return RatFunc.sum(
+        c * f if L == 1 else RatFunc(c.num * (f * L).numerator, c.den * L)
+        for c, f in terms)
 
 
 def _mobius(n):
@@ -195,7 +242,7 @@ def _mobius(n):
 # -- the SymFunc container ---------------------------------------------------
 
 class SymFunc:
-    """Element of the truncated ring, stored in the power-sum basis.
+    """Element of the truncated ring, stored in the basis p_lam / z_lam.
 
     N is the truncation bound, stored as one partition per alphabet; an
     int N passed in stands for the row bound ((N,),) * k."""
@@ -238,7 +285,10 @@ class SymFunc:
         if not _fits_key(key, self.N):
             raise ValueError(f"key {key} does not fit the truncation bound "
                              f"{self.N}")
-        return self.to_basis("m").get(key, ZERO)
+        # only keys whose partitions each fill the target row contribute
+        reads = {k: c for k, c in self.coeffs.items()
+                 if all(map(_part_assignments, k, key))}
+        return SymFunc(self.k, self.N, reads).to_basis("m").get(key, ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
@@ -277,11 +327,14 @@ class SymFunc:
         parts = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
-                key = tuple(tuple(sorted(a + b, reverse=True))
-                            for a, b in zip(k1, k2))
+                merged = [_merge(a, b) for a, b in zip(k1, k2)]
+                key = tuple(union for union, _ in merged)
                 if not _fits_key(key, self.N):
                     continue
-                parts.setdefault(key, []).append(c1 * c2)
+                factor = math.prod(f for _, f in merged)
+                c = c1 * c2
+                parts.setdefault(key, []).append(
+                    c if factor == 1 else c * factor)
         return SymFunc(self.k, self.N,
                        {key: RatFunc.sum(cs) for key, cs in parts.items()})
 
@@ -298,13 +351,13 @@ class SymFunc:
 
     def to_basis(self, basis):
         """Coefficients of self in the given basis (dict key -> RatFunc)."""
-        return _transform(self.coeffs, "p", basis, self.N)
+        return _transform(self.coeffs, STORED, basis, self.N)
 
     @staticmethod
     def from_basis(basis, coeffs, k, N):
         """Assemble from a dict key -> RatFunc of coefficients in `basis`."""
         N = _bound(k, N)
-        return SymFunc(k, N, _transform(coeffs, basis, "p", N))
+        return SymFunc(k, N, _transform(coeffs, basis, STORED, N))
 
     # -- text form (m basis) ---------------------------------------------------
 
@@ -348,14 +401,17 @@ def hall_pair_h(f, mus):
 
 
 def plethysm_pr(r, f):
-    """p_r plethysm: p_m -> p_{rm} per alphabet, variables to their r-th power."""
+    """p_r plethysm: p_m -> p_{rm} per alphabet, variables to their r-th
+    power; in the stored basis P_lam -> r^len(lam) P_{r lam}."""
     if r < 1:
         raise ValueError("r must be >= 1")
     out = {}
     for key, c in f.coeffs.items():
         newkey = tuple(tuple(r * part for part in mu) for mu in key)
         if _fits_key(newkey, f.N):
-            out[newkey] = c.scale_exponents(r)
+            factor = r ** sum(map(len, key))
+            c = c.scale_exponents(r)
+            out[newkey] = c if factor == 1 else c * factor
     return SymFunc(f.k, f.N, out)
 
 

@@ -65,6 +65,31 @@ def test_P_triangular():
             assert pt.dominance_leq(lam, mu), (mu, lam)
 
 
+def test_stored_coefficients_are_integral():
+    # integral symmetric functions have integral coefficients in the
+    # stored basis p_lam / z_lam, so H~_mu and its specialisation run on ints
+    for mu in _all_partitions_to(6):
+        for f in (md.modified_H(mu), md.specialized_H(mu)):
+            for c in f.coeffs.values():
+                assert c.den.is_one(), mu
+                assert all(type(x) is int for x in c.num.terms.values()), mu
+
+
+def test_qt_inner_on_power_sums():
+    # <p_lam, p_mu>_{q,t} = delta z_lam prod_i (1-q^lam_i)/(1-t^lam_i)
+    for n in range(1, 5):
+        parts = pt.enumerate_partitions(n)
+        for lam in parts:
+            norm = RatFunc(pt.zlambda(lam))
+            for part in lam:
+                norm = norm * (ONE - Q ** part) / (ONE - T ** part)
+            p_lam = basis_element("p", (lam,), 1, n)
+            for mu in parts:
+                p_mu = basis_element("p", (mu,), 1, n)
+                want = norm if mu == lam else RatFunc(0)
+                assert md.qt_inner(p_lam, p_mu) == want, (lam, mu)
+
+
 def test_empty_partition_is_one():
     assert md.modified_H(()) == SymFunc.one(1, 1)
 

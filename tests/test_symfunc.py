@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,8 +8,9 @@ import pytest
 
 from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W, Q, T
-from charstacks.symfunc import (SymFunc, _mobius, basis_element, basis_to_m,
-                                fits, hall_pair_h, plethysm_pr, ple_exp,
+from charstacks.symfunc import (STORED, SymFunc, _merge, _mobius,
+                                basis_element, basis_to_m, fits, hall_pair_h,
+                                m_to_basis_table, plethysm_pr, ple_exp,
                                 ple_log)
 
 
@@ -172,6 +174,63 @@ def test_basis_roundtrips():
                 assert back == f
 
 
+def test_coefficient_matches_m_view_randomized():
+    # coefficient converts only the keys that can fill the target row
+    rng = random.Random(23)
+    for k, N in ((1, 4), (2, 3), (3, 2)):
+        parts = [lam for n in range(N + 1)
+                 for lam in pt.enumerate_partitions(n)]
+        for _ in range(4):
+            f = ple_exp(_random_symfunc(rng, k, N))
+            m = f.to_basis("m")
+            for key in itertools.product(parts, repeat=k):
+                assert f.coefficient(key) == m.get(key, RatFunc(0)), key
+
+
+def test_m_to_stored_rows_are_integers():
+    # the P_lam coefficient of m_mu is <m_mu, p_lam> = [h_mu] p_lam
+    for n in range(9):
+        for row in m_to_basis_table(STORED, n).values():
+            assert all(c.denominator == 1 for c in row.values())
+
+
+def test_stored_rows_are_p_rows_over_z():
+    for n in range(1, 7):
+        for lam in pt.enumerate_partitions(n):
+            z = pt.zlambda(lam)
+            assert basis_to_m(STORED, lam) == {
+                nu: c / z for nu, c in basis_to_m("p", lam).items()}
+
+
+def test_merge_factor_is_product_of_binomials():
+    parts = [lam for n in range(7) for lam in pt.enumerate_partitions(n)]
+    for a, b in itertools.product(parts, repeat=2):
+        union, factor = _merge(a, b)
+        assert union == tuple(sorted(a + b, reverse=True))
+        ma, mb = Counter(a), Counter(b)
+        assert factor == math.prod(math.comb(ma[i] + mb[i], ma[i])
+                                   for i in set(a) | set(b)), (a, b)
+
+
+def test_p_product_merges_keys():
+    parts = [lam for n in range(1, 5) for lam in pt.enumerate_partitions(n)]
+    for a, b in itertools.combinations_with_replacement(parts, 2):
+        N = sum(a) + sum(b)
+        assert one_alphabet("p", a, N) * one_alphabet("p", b, N) == \
+            one_alphabet("p", tuple(sorted(a + b, reverse=True)), N)
+
+
+def test_p_view_roundtrips_basis_element():
+    for n in range(7):
+        for lam in pt.enumerate_partitions(n):
+            f = one_alphabet("p", lam)
+            assert f.to_basis("p") == {(lam,): ONE}
+            assert f.coeffs == {(lam,): RatFunc(pt.zlambda(lam))}
+    key = ((2, 1), (1, 1))
+    f = basis_element("p", key, 2, ((2, 1), (1, 1)))
+    assert f.to_basis("p") == {key: ONE}
+
+
 def test_plethysm_pr():
     m1 = one_alphabet("m", (1,), N=2)
     assert plethysm_pr(2, m1) == one_alphabet("m", (2,), N=2)
@@ -209,6 +268,17 @@ def test_plethysm_multiplicative_randomized():
 def test_pr_compose():
     f = one_alphabet("p", (1,), N=6)
     assert plethysm_pr(2, plethysm_pr(3, f)) == plethysm_pr(6, f)
+
+
+def test_pr_of_p_is_p():
+    # p_r o p_lam = p_(r lam); the stored basis scales by r^len(lam)
+    for n in range(1, 5):
+        for lam in pt.enumerate_partitions(n):
+            for r in (2, 3):
+                rlam = tuple(r * part for part in lam)
+                N = sum(rlam)
+                assert plethysm_pr(r, one_alphabet("p", lam, N)) == \
+                    one_alphabet("p", rlam, N)
 
 
 def test_exp_of_zero():
