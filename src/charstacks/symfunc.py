@@ -183,7 +183,7 @@ def m_to_basis_table(basis, n):
 def _table(src, dst, lam, rows):
     """src_lam expanded in the dst basis, on the dst partitions that fit
     rows: between p and the stored basis the scaling p_lam = z_lam P_lam,
-    otherwise through the m basis.  Integral entries are ints."""
+    otherwise through the m basis."""
     if {src, dst} == {"p", STORED}:
         z = pt.zlambda(lam)
         out = {lam: z if src == "p" else Fraction(1, z)}
@@ -192,8 +192,7 @@ def _table(src, dst, lam, rows):
         for nu, a in basis_to_m(src, lam).items():
             for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
                 out[mu] = out.get(mu, 0) + a * b
-    return tuple((mu, c.numerator if c.denominator == 1 else c)
-                 for mu, c in out.items() if c and fits(mu, rows))
+    return tuple((mu, c) for mu, c in out.items() if c and fits(mu, rows))
 
 
 def _transform(coeffs, src, dst, bound):
@@ -220,9 +219,8 @@ def _combine(terms):
     to the lcm L of their denominators: c * f = c.num * (f L) / (c.den L),
     so the numerators are summed on integer multiples."""
     L = math.lcm(*(f.denominator for _, f in terms))
-    return RatFunc.sum(
-        c * f if L == 1 else RatFunc(c.num * (f * L).numerator, c.den * L)
-        for c, f in terms)
+    return RatFunc.sum(RatFunc(c.num * (f * L).numerator, c.den * L)
+                       for c, f in terms)
 
 
 def _mobius(n):
