@@ -266,9 +266,12 @@ def test_config_validation():
 
 
 # -- golden texts -------------------------------------------------------------
-# sha256 of hlv_HH(mus, m).text() as the p-basis implementation printed it.
-# The five take about 2.5 s in all on 2 cores (budget: 3 s); (4,2) at m = 1
-# is most of it.
+# sha256 of hlv_HH(mus, m).text().  The first five are as the p-basis
+# implementation printed them; the rest, every input of MU_CASES and of
+# test_truncation_stability's multipartitions and the benchmark's (2,1) at
+# m = 2 and (2)|(1,1) at m = 4, as the P_lam-basis implementation printed
+# them before its coefficient sums shared one rule.  All take about 3 s
+# on 2 cores (budget: 4 s); (4,2) at m = 1 is most of it.
 
 GOLDEN_HH = [
     (((5,),), 2,
@@ -281,6 +284,36 @@ GOLDEN_HH = [
      "32faf3d02e03fc16700e8d422585a0e67d08af5c0377b7045f3771bf5239c941"),
     (((2,), (2,), (1, 1)), 1,
      "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    (((2, 1), (2, 1)), 0,
+     "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    (((2, 1), (2, 1)), 1,
+     "32faf3d02e03fc16700e8d422585a0e67d08af5c0377b7045f3771bf5239c941"),
+    (((2, 1), (2, 1)), 2,
+     "f725b02f81228df74a2821d3a8604f728e57e6492ab15a61d8cc3bf765175ac9"),
+    (((2, 1), (2, 1)), 4,
+     "c9d2231ed3779fdafa55790f1dd10990e0854edc909cc251f18611e56ac2bad8"),
+    (((2,), (1, 1)), 2,
+     "9622fe324460ea6927e1aa8271e2c09868d52a2057a07a87fd79ba6d5453603f"),
+    (((1, 1), (2,)), 2,
+     "9622fe324460ea6927e1aa8271e2c09868d52a2057a07a87fd79ba6d5453603f"),
+    (((3, 1),), 1,
+     "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    (((2, 2),), 1,
+     "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    (((2, 1, 1),), 1,
+     "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    (((3, 2),), 1,
+     "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    (((1, 1), (1, 1), (1, 1)), 2,
+     "28e52c1e5a2d5c611a90f3553a1aca7497616d4c577492950bd0fd5bd51e5680"),
+    (((2,), (2,)), 2,
+     "b878e7f496478a316495089dfde50aac31617ab2b4fe973253ebd6f68060718a"),
+    (((1,), (1,)), 3,
+     "935c475a5afdf9ef8f685c60cf8bea0d8d45e8da2d8090ed1b2118380cd63b8b"),
+    (((2, 1),), 2,
+     "98ef844b6f62d1c55751d624cd3f830a96c2ec0e8a3f908cdf67951d58cc8568"),
+    (((2,), (1, 1)), 4,
+     "8ebc1572a985e2cca41058e5a1219079ce66766f9795f9291f90ee295cae4be6"),
 ]
 
 
