@@ -134,6 +134,8 @@ def test_HH_odd_m_not_always_polynomial():
     # polynomiality genuinely fails for odd m: HH_{(2),1} = 1/(1+z^2)
     f = hlv_HH(((2,),), 1).simplified()
     assert f == ONE / (ONE + Z * Z)
+    # and with it the z <-> w symmetry that every even-m input shows
+    assert f.substitute({"z": W, "w": Z}) != f
     # while the conjugate shape stays polynomial
     assert hlv_HH(((1, 1),), 1) == ONE
 
@@ -258,6 +260,32 @@ def test_sign_flip_symmetry():
             assert f.substitute(flip) == expected
 
 
+EVEN_M_CASES = [
+    *((((2, 1), (2, 1)), m) for m in (0, 2, 4)),
+    *((((2,), (1, 1)), m) for m in (2, 4)),
+    *((mus, 2) for mus in (((1, 1), (2,)), ((1, 1), (1, 1), (1, 1)),
+                           ((3, 2),), ((2, 1), (1, 1, 1)),
+                           ((2,), (1, 1), (1, 1)), ((2, 2),), ((4,),))),
+    (((3, 1),), 4),
+]
+
+
+@pytest.mark.parametrize("mus, m", EVEN_M_CASES, ids=[
+    "|".join(map(pt.partition_text, mus)) + f"-m{m}"
+    for mus, m in EVEN_M_CASES])
+def test_HH_even_m_symmetric_and_positive(mus, m):
+    # empirically, on every computed instance, as Hausel, Letellier and
+    # Rodriguez-Villegas conjecture: for even m, HH(z, w) = HH(w, z), and
+    # HH(-z, w) is 0 or a polynomial with positive integer coefficients;
+    # test_HH_odd_m_not_always_polynomial has an odd m where both fail
+    f = hlv_HH(mus, m)
+    assert f.substitute({"z": W, "w": Z}) == f
+    p = f.substitute({"z": -Z}).as_mpoly()
+    assert p is not None
+    assert all(c > 0 and c.denominator == 1 and min(e) >= 0
+               for e, c in p.terms.items())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         omega(-1, 1, 1)
@@ -321,5 +349,7 @@ GOLDEN_HH = [
     "|".join(map(pt.partition_text, mus)) + f"-m{m}"
     for mus, m, _ in GOLDEN_HH])
 def test_HH_golden_text(mus, m, digest):
-    text = hlv_HH(mus, m).text()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    f = hlv_HH(mus, m)
+    assert hashlib.sha256(f.text().encode()).hexdigest() == digest
+    z, w = POINTS[0]
+    assert f.eval({"z": z, "w": w}) == _HH_at(mus, m, z, w)
