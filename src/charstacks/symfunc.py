@@ -18,7 +18,9 @@ and I.8):
 
 So H~_mu, Omega and their products run on integer coefficients, and
 rationals enter only through the weights of the plethystic Log and the
-views.
+views.  Every coefficient sum, of a product, a view or the Log, is one
+`_sum_terms`: it brings the rational weights of each key to their lcm,
+so those weights too enter over integer numerators.
 
 Truncation has one rule.  The bound N is one partition beta_i per
 alphabet, and a key is kept iff each lam_i fits beta_i: lam_i, padded
@@ -32,13 +34,13 @@ plethysm never reads a dropped key, and the ring is the quotient by that
 ideal.  Under the bound mu this is truncation at the monomial x^mu in
 len(mu_i) variables per alphabet.
 
-The p basis is a view, the diagonal scaling p_lam = z_lam P_lam.  The
-m, h, e and s bases are views too: `to_basis` and `from_basis` change
-basis alphabet by alphabet through the m basis.  The basis -> m tables
-are counts (exact Fractions): Kostka numbers give the s rows and, by
-Young's rule, the h and e rows, and `_part_assignments`, the count that
-`fits` reads, gives the p rows [m_nu] p_lam, and over z_lam the stored
-rows.  Per-degree matrix inversion gives the m -> basis tables; into the
+The p basis is a view, mathematically the diagonal scaling p_lam =
+z_lam P_lam, and computed like the m, h, e and s views: `to_basis` and
+`from_basis` change basis alphabet by alphabet through the m basis.
+The basis -> m tables are counts (exact Fractions): Kostka numbers give
+the s rows and, by Young's rule, the h and e rows, and
+`_part_assignments`, the count that `fits` reads, gives the p rows
+[m_nu] p_lam, and over z_lam the stored rows.  Per-degree matrix inversion gives the m -> basis tables; into the
 stored basis they are integers.  Coefficient lookup, the Hall pairing
 against h and the text form read the m view, so the truncation, the p
 rows, the m view and the Hall pairing all read that one count.  The m
@@ -181,17 +183,12 @@ def m_to_basis_table(basis, n):
 
 @lru_cache(maxsize=None)
 def _table(src, dst, lam, rows):
-    """src_lam expanded in the dst basis, on the dst partitions that fit
-    rows: between p and the stored basis the scaling p_lam = z_lam P_lam,
-    otherwise through the m basis."""
-    if {src, dst} == {"p", STORED}:
-        z = pt.zlambda(lam)
-        out = {lam: z if src == "p" else Fraction(1, z)}
-    else:
-        out = {}
-        for nu, a in basis_to_m(src, lam).items():
-            for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
-                out[mu] = out.get(mu, 0) + a * b
+    """src_lam expanded in the dst basis through the m basis, on the dst
+    partitions that fit rows."""
+    out = {}
+    for nu, a in basis_to_m(src, lam).items():
+        for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
+            out[mu] = out.get(mu, 0) + a * b
     return tuple((mu, c) for mu, c in out.items() if c and fits(mu, rows))
 
 
@@ -203,24 +200,29 @@ def _transform(coeffs, src, dst, bound):
         raise ValueError(
             f"the {src} -> {dst} change of basis reads keys outside the "
             f"truncation bound {bound}: it needs a bound of rows")
+    return _sum_terms(
+        (tuple(mu for mu, _ in combo), c, math.prod(f for _, f in combo))
+        for key, c in coeffs.items()
+        for combo in itertools.product(
+            *(_table(src, dst, mu, rows) for mu, rows in zip(key, bound))))
+
+
+def _sum_terms(terms):
+    """sum c * f per key over triples (key, RatFunc c, rational f), each
+    key's sum taken once.  Every f of a key is brought to the lcm L of
+    that key's denominators, c * f = c.num * (f L) / (c.den L), so the
+    numerators are summed on integer multiples.  Zero sums are dropped."""
     parts = {}
-    for key, c in coeffs.items():
-        tables = [_table(src, dst, mu, rows) for mu, rows in zip(key, bound)]
-        for combo in itertools.product(*tables):
-            newkey = tuple(mu for mu, _ in combo)
-            parts.setdefault(newkey, []).append(
-                (c, math.prod(f for _, f in combo)))
-    out = {key: _combine(terms) for key, terms in parts.items()}
-    return {key: c for key, c in out.items() if not c.is_zero()}
-
-
-def _combine(terms):
-    """sum c * f over pairs (RatFunc c, rational f), with every f brought
-    to the lcm L of their denominators: c * f = c.num * (f L) / (c.den L),
-    so the numerators are summed on integer multiples."""
-    L = math.lcm(*(f.denominator for _, f in terms))
-    return RatFunc.sum(RatFunc(c.num * (f * L).numerator, c.den * L)
-                       for c, f in terms)
+    for key, c, f in terms:
+        parts.setdefault(key, []).append((c, f))
+    out = {}
+    for key, cfs in parts.items():
+        L = math.lcm(*(f.denominator for _, f in cfs))
+        total = RatFunc.sum(RatFunc(c.num * (f * L).numerator, c.den * L)
+                            for c, f in cfs)
+        if not total.is_zero():
+            out[key] = total
+    return out
 
 
 def _mobius(n):
@@ -305,7 +307,7 @@ class SymFunc:
         return SymFunc(self.k, self.N, out)
 
     def __neg__(self):
-        return SymFunc(self.k, self.N, {key: -c for key, c in self.coeffs.items()})
+        return self.map_coefficients(lambda c: -c)
 
     def __sub__(self, other):
         return self + (-other)
@@ -313,28 +315,21 @@ class SymFunc:
     def scale(self, c):
         """Multiply by a RatFunc (or int/Fraction) scalar."""
         c = RatFunc._coerce(c)
-        if c.is_zero():
-            return SymFunc.zero(self.k, self.N)
-        return SymFunc(self.k, self.N,
-                       {key: c * v for key, v in self.coeffs.items()})
+        return self.map_coefficients(lambda v: c * v)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
             return self.scale(other)
         self._check_compat(other)
-        parts = {}
+        terms = []
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 merged = [_merge(a, b) for a, b in zip(k1, k2)]
                 key = tuple(union for union, _ in merged)
-                if not _fits_key(key, self.N):
-                    continue
-                factor = math.prod(f for _, f in merged)
-                c = c1 * c2
-                parts.setdefault(key, []).append(
-                    c if factor == 1 else c * factor)
-        return SymFunc(self.k, self.N,
-                       {key: RatFunc.sum(cs) for key, cs in parts.items()})
+                if _fits_key(key, self.N):
+                    terms.append((key, c1 * c2,
+                                  math.prod(f for _, f in merged)))
+        return SymFunc(self.k, self.N, _sum_terms(terms))
 
     __rmul__ = __mul__
 
@@ -407,38 +402,33 @@ def plethysm_pr(r, f):
     for key, c in f.coeffs.items():
         newkey = tuple(tuple(r * part for part in mu) for mu in key)
         if _fits_key(newkey, f.N):
-            factor = r ** sum(map(len, key))
-            c = c.scale_exponents(r)
-            out[newkey] = c if factor == 1 else c * factor
+            out[newkey] = c.scale_exponents(r) * r ** sum(map(len, key))
     return SymFunc(f.k, f.N, out)
 
 
 def _series(a, weight):
     """sum_{j>=1} weight(j) a^j, truncated.  a has zero constant term, so
     a^j vanishes once j exceeds the total size of the bound."""
-    parts = {}
+    terms = []
     power = SymFunc.one(a.k, a.N)
     for j in range(1, sum(map(sum, a.N)) + 1):
         power = power * a
         if power.is_zero():
             break
-        for key, c in power.scale(weight(j)).coeffs.items():
-            parts.setdefault(key, []).append(c)
-    return SymFunc(a.k, a.N,
-                   {key: RatFunc.sum(cs) for key, cs in parts.items()})
+        terms += ((key, c, weight(j)) for key, c in power.coeffs.items())
+    return SymFunc(a.k, a.N, _sum_terms(terms))
 
 
 def _adams(f, weight):
     """sum_{r>=1} weight(r) (p_r o f), truncated.  f has zero constant term,
     so p_r o f vanishes once r exceeds the largest row of the bound."""
-    parts = {}
+    terms = []
     for r in range(1, max((rows[0] for rows in f.N if rows), default=0) + 1):
         w = weight(r)
         if w:
-            for key, c in plethysm_pr(r, f).scale(w).coeffs.items():
-                parts.setdefault(key, []).append(c)
-    return SymFunc(f.k, f.N,
-                   {key: RatFunc.sum(cs) for key, cs in parts.items()})
+            terms += ((key, c, w)
+                      for key, c in plethysm_pr(r, f).coeffs.items())
+    return SymFunc(f.k, f.N, _sum_terms(terms))
 
 
 def ple_exp(f):
