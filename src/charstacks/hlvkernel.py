@@ -7,10 +7,11 @@ pairing of the plethystic logarithm of that series against h_mu, cleared
 by the prefactor (z**2 - 1)(1 - w**2).
 
 HH_{mu,m} truncates Omega, its Log and the m view at the multipartition mu
-itself: a p-key is kept iff each of its partitions fits the matching row
-lengths of mu (symfunc.fits).  That is sound because the dropped keys span
-an ideal that products and plethysms preserve, and the m_mu coefficient
-reads only the p-keys that refine mu, all of which fit.
+itself: a key (lam_1, ..., lam_k), standing for the product of the
+p_lam_i / z_lam_i, is kept iff each of its partitions fits the matching
+row lengths of mu (symfunc.fits).  That is sound because the dropped keys
+span an ideal that products and plethysms preserve, and the m_mu
+coefficient reads only the keys that refine mu, all of which fit.
 test_truncation_stability asserts the degree form on the paired Log at N
 and N + 1, and the tests compare the bound mu against the row bound |mu|.
 """
