@@ -34,13 +34,13 @@ plethysm never reads a dropped key, and the ring is the quotient by that
 ideal.  Under the bound mu this is truncation at the monomial x^mu in
 len(mu_i) variables per alphabet.
 
-The p basis is a view, mathematically the diagonal scaling p_lam =
-z_lam P_lam, and computed like the m, h, e and s views: `to_basis` and
-`from_basis` change basis alphabet by alphabet through the m basis.
-The basis -> m tables are counts (exact Fractions): Kostka numbers give
-the s rows and, by Young's rule, the h and e rows, and
-`_part_assignments`, the count that `fits` reads, gives the p rows
-[m_nu] p_lam, and over z_lam the stored rows.  Per-degree matrix inversion gives the m -> basis tables; into the
+The p, m, h, e and s bases are views, the p basis mathematically the
+diagonal scaling p_lam = z_lam P_lam: `to_basis` and `from_basis` change
+basis alphabet by alphabet through the m basis.  The basis -> m tables
+are counts (exact Fractions): Kostka numbers give the s rows and, by
+Young's rule, the h and e rows, and `_part_assignments`, the count that
+`fits` reads, gives the p rows [m_nu] p_lam, and over z_lam the stored
+rows.  Per-degree matrix inversion gives the m -> basis tables; into the
 stored basis they are integers.  Coefficient lookup, the Hall pairing
 against h and the text form read the m view, so the truncation, the p
 rows, the m view and the Hall pairing all read that one count.  The m
