@@ -134,7 +134,7 @@ def test_HH_odd_m_not_always_polynomial():
     # polynomiality genuinely fails for odd m: HH_{(2),1} = 1/(1+z^2)
     f = hlv_HH(((2,),), 1).simplified()
     assert f == ONE / (ONE + Z * Z)
-    # and with it the z <-> w symmetry that every even-m input shows
+    # and so does the z <-> w symmetry of even m
     assert f.substitute({"z": W, "w": Z}) != f
     # while the conjugate shape stays polynomial
     assert hlv_HH(((1, 1),), 1) == ONE
@@ -274,9 +274,11 @@ EVEN_M_CASES = [
     "|".join(map(pt.partition_text, mus)) + f"-m{m}"
     for mus, m in EVEN_M_CASES])
 def test_HH_even_m_symmetric_and_positive(mus, m):
-    # empirically, on every computed instance, as Hausel, Letellier and
-    # Rodriguez-Villegas conjecture: for even m, HH(z, w) = HH(w, z), and
-    # HH(-z, w) is 0 or a polynomial with positive integer coefficients;
+    # for even m, HH(z, w) = HH(w, z): conjugating lambda swaps arms and
+    # legs, so hook_H(m, lambda')(w, z) = hook_H(m, lambda)(z, w), while
+    # H~_lambda'(x; q, t) = H~_lambda(x; t, q).  HH(-z, w) is 0 or a
+    # polynomial with positive integer coefficients on every computed
+    # instance, as Hausel, Letellier and Rodriguez-Villegas conjecture;
     # test_HH_odd_m_not_always_polynomial has an odd m where both fail
     f = hlv_HH(mus, m)
     assert f.substitute({"z": W, "w": Z}) == f
