@@ -15,6 +15,13 @@ denominator d costs a gcd of d and the running denominator only, where
 cross-multiplying by the whole of d would build common factors for the
 final gcd to cancel.  `a + b` is the sum of two terms, and a caller that
 accumulates many terms per coefficient collects them and sums them once.
+`RatFunc.sum` takes any addends, so its final gcd is a full one.  Where
+both addends are known to be in lowest terms, Henrici's cheaper final gcd
+applies: `_add_lowest` reduces the new numerator against the gcd of the
+two denominators only, and skips that gcd when the denominators are
+coprime, and `_mul_lowest` multiplies by a polynomial at the cost of one
+gcd of that polynomial against the denominator.  The kernel series
+Omega, whose terms are built in lowest terms, is summed with them.
 Products and quotients are reduced only where a caller asks.  A reduced
 value has one stored form: num and den have integer coefficients with
 coprime contents, den has min exponents 0 and a positive leading
@@ -330,6 +337,13 @@ def _integral(p):
     return m, {e: c.numerator * (m // c.denominator) for e, c in p.items()}
 
 
+def _as_poly(terms):
+    """An MPoly on the term dict `terms`, taken as it is."""
+    p = MPoly.__new__(MPoly)
+    p.terms = terms
+    return p
+
+
 class MPoly:
     """Sparse Laurent polynomial: map exponent vector -> nonzero coefficient
     (an int, or a Fraction when not integral)."""
@@ -386,9 +400,7 @@ class MPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = MPoly.__new__(MPoly)
-        res.terms = out
-        return res
+        return _as_poly(out)
 
     def __neg__(self):
         return self * -1
@@ -399,9 +411,7 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
-        res = MPoly.__new__(MPoly)
-        res.terms = _mul(self.terms, other.terms)
-        return res
+        return _as_poly(_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -518,7 +528,9 @@ class RatFunc:
         brought to their lcm one at a time: with den/d = a/b in lowest
         terms, which takes a gcd of the two denominators only,
         num/den + n/d = (num*b + n*a)/(den*b).  The result is reduced once,
-        by `simplified()`.
+        by `simplified()`: a full gcd, since an addend may not be in lowest
+        terms.  For two addends that are, `_add_lowest` gives the same
+        stored form with a gcd against the gcd of the denominators only.
         """
         nums = {}
         for t in terms:
@@ -688,6 +700,99 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.text()})"
+
+
+# -- sums and products of values already in lowest terms -----------------------
+#
+# A value in lowest terms (the stored form `simplified()` gives) lets a sum
+# or a product skip most of its final gcd.  Both primitives return the
+# stored form `simplified()` would give, and neither checks its operands.
+
+
+def _shifted(p):
+    """(s, p / x^s) for a nonzero term dict p, with s the least exponents,
+    so that p / x^s has min exponents 0."""
+    s = _bounds(p)[0]
+    if s == ZERO_EXP:
+        return s, p
+    return s, {tuple(map(sub, e, s)): c for e, c in p.items()}
+
+
+def _unshifted(s, p):
+    return p if s == ZERO_EXP else {tuple(map(add, e, s)): c
+                                    for e, c in p.items()}
+
+
+def _lowest(num, den):
+    """The stored form of num/den for integer term dicts that share no
+    factor, contents included, with den of min exponents 0."""
+    if den[max(den)] < 0:
+        num = {e: -c for e, c in num.items()}
+        den = {e: -c for e, c in den.items()}
+    num, den = _as_poly(num), _as_poly(den)
+    if den.is_monomial():
+        return RatFunc(num.exact_div(den))
+    return RatFunc(num, den)
+
+
+def _integral_pair(x):
+    """x as integer term dicts (num, den): a denominator 1 becomes the
+    least common denominator m of num's coefficients, which shares no
+    factor with the content of m * num."""
+    if x.den.is_one():
+        m, num = _integral(x.num.terms)
+        return num, {ZERO_EXP: m}
+    return x.num.terms, x.den.terms
+
+
+def _mul_lowest(x, p):
+    """x * p in stored form, for x in stored form and p an MPoly with int
+    coefficients.  With x = n/d, n shares no factor with d, so the only
+    factor of n*p and d to cancel is gcd(p, d): one gcd of p against d,
+    not of n*p against d."""
+    if x.num.is_zero() or p.is_zero():
+        return RatFunc(0)
+    if x.den.is_one():
+        return RatFunc(x.num * p)
+    s, p = _shifted(p.terms)
+    _, p, den = _heugcd(p, x.den.terms)
+    return _lowest(_unshifted(s, _mul(x.num.terms, p)), den)
+
+
+def _add_lowest(x, y):
+    """x + y in stored form, for x and y in stored form.
+
+    With g = gcd(d_x, d_y), d_x = g a and d_y = g b, the sum is
+    t / (g a b) with t = n_x b + n_y a.  A prime dividing t and a divides
+    n_x b, which it cannot (n_x is prime to d_x, a to b), and likewise
+    for b; by Gauss's lemma the same holds for the integer primes of the
+    contents.  So t shares with g a b only factors of g, and t is reduced
+    against g alone: by an integer gcd when g is a constant, and with no
+    gcd when g is 1.  Two denominators 1 add as `RatFunc.sum` adds them.
+    """
+    if x.num.is_zero():
+        return y
+    if y.num.is_zero():
+        return x
+    if x.den.is_one() and y.den.is_one():
+        return RatFunc.sum((x, y))
+    (nx, dx), (ny, dy) = _integral_pair(x), _integral_pair(y)
+    if dx == dy:
+        g, a, b = dx, {ZERO_EXP: 1}, {ZERO_EXP: 1}
+    else:
+        g, a, b = _heugcd(dx, dy)
+    t = _as_poly(_mul(nx, b)) + _as_poly(_mul(ny, a))
+    if t.is_zero():
+        return RatFunc(0)
+    s, t = _shifted(t.terms)
+    if len(g) == 1:  # a constant
+        c = gcd(g[ZERO_EXP], *t.values())
+        h, t, g = ({ZERO_EXP: c}, {e: v // c for e, v in t.items()},
+                   {ZERO_EXP: g[ZERO_EXP] // c})
+    else:
+        h, t, g = _heugcd(t, g)
+    den = _mul(dx, b) if h == {ZERO_EXP: 1} else _mul(_mul(g, a), b)
+    return _lowest(_unshifted(s, t), den)
 
 
 def u_to_q(f):

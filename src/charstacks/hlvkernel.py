@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .exactalg import ONE, Z, W
+from .exactalg import ONE, Z, W, _add_lowest, _mul_lowest
 from . import partitions as pt
 from .macdonald import specialized_H
 from .symfunc import SymFunc, fits, ple_log, hall_pair_h
@@ -45,22 +45,28 @@ def omega(m, k, N):
     """The kernel series in k alphabets: 1 + sum over lambda of
     hook_H(m, lambda) * prod_i H_lambda(x_i; z**2, w**2), truncated at the
     bound N (an int, or one partition per alphabet; see SymFunc)."""
-    total = SymFunc.one(k, N)
-    size = min(map(sum, total.N), default=0)
+    bound = SymFunc(k, N).N
+    size = min(map(sum, bound), default=0)
     if m < 0 or size < 1:
         raise ValueError(f"invalid kernel parameters m={m}, k={k}, N={N}")
+    coeffs = {((),) * k: ONE}
     for n in range(1, size + 1):
         for lam in pt.enumerate_partitions(n):
             hook = hook_H(m, lam).simplified()
             pcoeffs = specialized_H(lam).coeffs
-            per_alphabet = [[(mu, c) for (mu,), c in pcoeffs.items()
-                             if fits(mu, rows)] for rows in total.N]
-            out = {tuple(mu for mu, _ in combo):
-                   hook * math.prod(v for _, v in combo)
-                   for combo in itertools.product(*per_alphabet)}
-            # shape by shape: one sum per degree swells over its hooks' lcm
-            total = total + SymFunc(k, N, out)
-    return total
+            per_alphabet = [[(mu, c.num) for (mu,), c in pcoeffs.items()
+                             if fits(mu, rows)] for rows in bound]
+            # shape by shape: one sum per degree swells over its hooks'
+            # lcm.  Every term and partial sum is in lowest terms, so a
+            # term costs a gcd of its Macdonald coefficient, an integral
+            # polynomial, against the hook's denominator, and a sum a gcd
+            # against the gcd of the two denominators (exactalg)
+            for combo in itertools.product(*per_alphabet):
+                key = tuple(mu for mu, _ in combo)
+                term = _mul_lowest(hook, math.prod(p for _, p in combo))
+                coeffs[key] = (_add_lowest(coeffs[key], term)
+                               if key in coeffs else term)
+    return SymFunc(k, N, coeffs)
 
 
 def hlv_HH(mus, m):

@@ -20,7 +20,10 @@ So H~_mu, Omega and their products run on integer coefficients, and
 rationals enter only through the weights of the plethystic Log and the
 views.  Every coefficient sum, of a product, a view or the Log, is one
 `_sum_terms`: it brings the rational weights of each key to their lcm,
-so those weights too enter over integer numerators.
+so those weights too enter over integer numerators.  Values already in
+lowest terms are not reduced again: the Exp and Log series start their
+powers at a, not at the product 1 * a, and a key that only the r = 1
+Adams term reaches keeps its coefficient rather than being summed alone.
 
 Truncation has one rule.  The bound N is one partition beta_i per
 alphabet, and a key is kept iff each lam_i fits beta_i: lam_i, padded
@@ -408,11 +411,15 @@ def plethysm_pr(r, f):
 
 def _series(a, weight):
     """sum_{j>=1} weight(j) a^j, truncated.  a has zero constant term, so
-    a^j vanishes once j exceeds the total size of the bound."""
+    a^j vanishes once j exceeds the total size of the bound.  The powers
+    start at a itself, not at 1 * a, which would only reduce every
+    coefficient of a again; every key is still summed by `_sum_terms`, so
+    the result is in lowest terms whatever a's coefficients are."""
     terms = []
-    power = SymFunc.one(a.k, a.N)
+    power = a
     for j in range(1, sum(map(sum, a.N)) + 1):
-        power = power * a
+        if j > 1:
+            power = power * a
         if power.is_zero():
             break
         terms += ((key, c, weight(j)) for key, c in power.coeffs.items())
@@ -421,14 +428,23 @@ def _series(a, weight):
 
 def _adams(f, weight):
     """sum_{r>=1} weight(r) (p_r o f), truncated.  f has zero constant term,
-    so p_r o f vanishes once r exceeds the largest row of the bound."""
+    so p_r o f vanishes once r exceeds the largest row of the bound.
+
+    weight(1) is 1, for Exp and Log alike, so the r = 1 term is f itself:
+    a key of f that no r >= 2 plethysm reaches keeps f's coefficient as it
+    is, and the other keys are summed by `_sum_terms`.  The copy is in
+    lowest terms when f's coefficients are."""
     terms = []
-    for r in range(1, max((rows[0] for rows in f.N if rows), default=0) + 1):
+    for r in range(2, max((rows[0] for rows in f.N if rows), default=0) + 1):
         w = weight(r)
         if w:
             terms += ((key, c, w)
                       for key, c in plethysm_pr(r, f).coeffs.items())
-    return SymFunc(f.k, f.N, _sum_terms(terms))
+    reached = {key for key, _, _ in terms}
+    out = {key: c for key, c in f.coeffs.items() if key not in reached}
+    out.update(_sum_terms([(key, c, 1) for key, c in f.coeffs.items()
+                           if key in reached] + terms))
+    return SymFunc(f.k, f.N, out)
 
 
 def ple_exp(f):

@@ -588,3 +588,133 @@ def test_gcd_keeps_non_divisors():
     red = RatFunc(MPoly(ea._school_mul(p, h)),
                   MPoly(ea._school_mul(u1, h))).simplified()
     assert (red.num.terms, red.den.terms) == (p, u1)
+
+
+# -- sums and products of values in lowest terms -------------------------------
+# ea._add_lowest and ea._mul_lowest take operands in stored form and must
+# return what RatFunc.sum and simplified() return, num and den compared
+# separately, while skipping the gcds that cannot cancel anything.
+
+def _top_level_gcds(monkeypatch):
+    """The list that gets the operands of each `_heugcd` call not made by
+    `_heugcd` itself."""
+    calls = []
+    heugcd = ea._heugcd
+
+    def counted(f, g):
+        if sys._getframe(1).f_code is not heugcd.__code__:
+            calls.append((f, g))
+        return heugcd(f, g)
+    monkeypatch.setattr(ea, "_heugcd", counted)
+    return calls
+
+
+def _stored(x):
+    return x.num, x.den
+
+
+def _random_lowest(rng, factors):
+    """A value in stored form: a Laurent polynomial with rational
+    coefficients, a folded monomial denominator, or a quotient whose
+    denominator is a product of some of `factors` times a content."""
+    kind = rng.randrange(5)
+    shift = MPoly.monomial(tuple(rng.randint(-2, 1) for _ in range(5)))
+    if kind == 0:
+        return RatFunc(_random_rational_mpoly(rng) * shift).simplified()
+    if kind == 1:
+        return RatFunc(_random_rational_mpoly(rng),
+                       shift * rng.randint(1, 3)).simplified()
+    den = MPoly.const(rng.choice((1, 1, 2, 3, 6)))
+    for f in rng.sample(factors, rng.randint(1, 2)):
+        den = den * f
+    return RatFunc(_random_rational_mpoly(rng) * shift, den).simplified()
+
+
+FACTORS = [MPoly.parse(s) for s in (
+    "-1 + 1*z^1", "1 + 1*z^1", "4 + 1*z^1", "-1 + 1*z^2*w^1",
+    "1*z^1 + -1*w^1", "2 + 1*q^1*t^1", "1 + 1*z^1*u^2")]
+
+
+def test_add_lowest_matches_sum_randomized():
+    rng = random.Random(43)
+    for _ in range(300):
+        x = _random_lowest(rng, FACTORS)
+        kind = rng.randrange(5)
+        if kind == 0:  # an equal denominator
+            y = RatFunc(_random_rational_mpoly(rng), x.den).simplified()
+        elif kind == 1:  # a zero sum
+            y = -x
+        elif kind == 2:  # a sum that cancels factors of the common one
+            y = (_random_lowest(rng, FACTORS) - x).simplified()
+        else:
+            y = _random_lowest(rng, FACTORS)
+        for a, b in ((x, y), (y, x), (x, ZERO), (ZERO, x)):
+            assert _stored(ea._add_lowest(a, b)) == \
+                _stored(RatFunc.sum((a, b))), (a, b)
+
+
+def test_mul_lowest_matches_simplified_randomized():
+    rng = random.Random(47)
+    for _ in range(200):
+        x = _random_lowest(rng, FACTORS)
+        p = MPoly.monomial(tuple(rng.randint(-2, 1) for _ in range(5)),
+                           rng.choice((-2, 1, 3)))
+        for f in rng.sample(FACTORS, rng.randint(0, 2)):
+            p = p * f
+        p = p + rng.choice((MPoly(), MPoly.parse("1*w^2")))
+        for q in (p, MPoly()):
+            assert _stored(ea._mul_lowest(x, q)) == \
+                _stored((x * RatFunc(q)).simplified()), (x, q)
+
+
+def test_add_lowest_contents():
+    # the gcd of the denominators is the content 3: the sum is reduced by
+    # an integer gcd, here 1 and then 3
+    x, y = ONE / (3 * Z - 3), ONE / (3 * Z + 3)
+    s = ea._add_lowest(x.simplified(), y.simplified())
+    assert _stored(s) == (MPoly.parse("2*z^1"), MPoly.parse("-3 + 3*z^2"))
+    x, y = ONE / (3 * Z + 3), -ONE / (3 * Z + 12)
+    s = ea._add_lowest(x.simplified(), y.simplified())
+    assert _stored(s) == (MPoly.const(1), MPoly.parse("4 + 5*z^1 + 1*z^2"))
+    assert _stored(s) == _stored(RatFunc.sum((x, y)))
+
+
+def test_add_lowest_denominator_one_with_fractions():
+    # a denominator 1 is cleared to the lcm of its coefficients' denominators
+    x = RatFunc(MPoly.parse("1/2*z^-1 + 2/3*w^1"))
+    y = (Z / (2 * Z + 4)).simplified()
+    s = ea._add_lowest(x, y)
+    assert _stored(s) == _stored(RatFunc.sum((x, y)))
+    assert s == x + y and not s.den.is_one()
+    # two denominators 1 add their numerators, as RatFunc.sum does
+    s = ea._add_lowest(x, -x + RatFunc(MPoly.parse("1/2")))
+    assert _stored(s) == (MPoly.parse("1/2"), MPoly.const(1))
+
+
+def test_add_lowest_coprime_denominators_one_gcd(monkeypatch):
+    x = (ONE / (Z - ONE)).simplified()
+    y = ((W + ONE) / (Z * Z * W - ONE)).simplified()
+    calls = _top_level_gcds(monkeypatch)
+    s = ea._add_lowest(x, y)
+    assert len(calls) == 1  # of the denominators only
+    assert _stored(s) == _stored(RatFunc.sum((x, y)))
+
+
+def test_add_lowest_reduces_against_the_common_factor(monkeypatch):
+    common = Z - ONE
+    x = (ONE / (common * (Z + ONE))).simplified()
+    y = (ONE / (common * (Z + 4))).simplified()
+    calls = _top_level_gcds(monkeypatch)
+    s = ea._add_lowest(x, y)
+    # the second gcd is of t = (z + 4) + (z + 1) against z - 1 alone
+    assert len(calls) == 2 and calls[1][1] == common.num.terms
+    assert _stored(s) == _stored(RatFunc.sum((x, y)))
+
+
+def test_mul_lowest_one_gcd_of_the_factor(monkeypatch):
+    x = ((Z + W) / ((Z - ONE) * (Z * Z + ONE))).simplified()
+    p = MPoly.parse("-1*z^-1 + 1*z^1")  # (z - 1)(z + 1) / z
+    calls = _top_level_gcds(monkeypatch)
+    s = ea._mul_lowest(x, p)
+    assert calls == [(MPoly.parse("-1 + 1*z^2").terms, x.den.terms)]
+    assert _stored(s) == _stored((x * RatFunc(p)).simplified())

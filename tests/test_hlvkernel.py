@@ -10,7 +10,8 @@ from charstacks import partitions as pt
 from charstacks.exactalg import RatFunc, ONE, Z, W
 from charstacks.hlvkernel import hook_H, omega, hlv_HH
 from charstacks.macdonald import modified_H, specialized_H
-from charstacks.symfunc import _mobius, hall_pair_h, ple_log
+from charstacks.symfunc import (SymFunc, _mobius, _sum_terms, fits,
+                                hall_pair_h, plethysm_pr, ple_exp, ple_log)
 
 
 def test_hook_single_cell():
@@ -286,6 +287,89 @@ def test_HH_even_m_symmetric_and_positive(mus, m):
     assert p is not None
     assert all(c > 0 and c.denominator == 1 and min(e) >= 0
                for e, c in p.terms.items())
+
+
+# -- the replaced Omega and Log paths, kept as oracles -------------------------
+# omega once folded each shape in by SymFunc addition, so each key's first
+# term was a one-term sum reduced by a full gcd and each later one a full
+# sum; _series started its powers at 1 * a, and _adams its plethysms at
+# r = 1.  The paths that replaced them skip a gcd only where a value is
+# already in lowest terms, so the stored forms, num and den compared
+# separately, must be the same.
+
+def _omega_fold(m, k, N):
+    total = SymFunc.one(k, N)
+    for n in range(1, min(map(sum, total.N)) + 1):
+        for lam in pt.enumerate_partitions(n):
+            hook = hook_H(m, lam).simplified()
+            pcoeffs = specialized_H(lam).coeffs
+            per_alphabet = [[(mu, c) for (mu,), c in pcoeffs.items()
+                             if fits(mu, rows)] for rows in total.N]
+            out = {tuple(mu for mu, _ in combo):
+                   hook * math.prod(v for _, v in combo)
+                   for combo in itertools.product(*per_alphabet)}
+            total = total + SymFunc(k, N, out)
+    return total
+
+
+def _series_from_one(a, weight):
+    terms = []
+    power = SymFunc.one(a.k, a.N)
+    for j in range(1, sum(map(sum, a.N)) + 1):
+        power = power * a
+        if power.is_zero():
+            break
+        terms += ((key, c, weight(j)) for key, c in power.coeffs.items())
+    return SymFunc(a.k, a.N, _sum_terms(terms))
+
+
+def _adams_from_one(f, weight):
+    terms = []
+    for r in range(1, max((rows[0] for rows in f.N if rows), default=0) + 1):
+        w = weight(r)
+        if w:
+            terms += ((key, c, w)
+                      for key, c in plethysm_pr(r, f).coeffs.items())
+    return SymFunc(f.k, f.N, _sum_terms(terms))
+
+
+def _ple_log_replaced(om):
+    log_om = _series_from_one(om - SymFunc.one(om.k, om.N),
+                              lambda j: Fraction((-1) ** (j + 1), j))
+    return _adams_from_one(log_om, lambda r: Fraction(_mobius(r), r))
+
+
+def _ple_exp_replaced(f):
+    g = _adams_from_one(f, lambda r: Fraction(1, r))
+    return SymFunc.one(f.k, f.N) + _series_from_one(
+        g, lambda j: Fraction(1, math.factorial(j)))
+
+
+def _stored(f):
+    return {key: (c.num, c.den) for key, c in f.coeffs.items()}
+
+
+# MU_CASES, test_truncation_stability's inputs, the benchmark's inputs and
+# two one-alphabet inputs of degree 4 and 5, as (m, k, bound)
+ORACLE_CASES = [
+    *((m, len(mus), mus) for mus, m in MU_CASES),
+    *((m, 1, N) for m in range(4) for N in range(1, 5)),
+    (2, 2, 2), (2, 2, 3), (3, 2, 1), (3, 2, 2),
+    (2, 1, ((2,),)), (2, 1, ((3,),)), (3, 1, ((1,),)), (2, 1, ((2, 1),)),
+    (4, 2, ((2,), (1, 1))), (4, 1, ((3, 1),)), (2, 1, ((5,),)),
+]
+
+
+@pytest.mark.parametrize("m, k, N", ORACLE_CASES, ids=[
+    f"m{m}-" + ("|".join(map(pt.partition_text, N)) if isinstance(N, tuple)
+                else f"k{k}-N{N}") for m, k, N in ORACLE_CASES])
+def test_omega_and_log_match_replaced_paths(m, k, N):
+    om = omega(m, k, N)
+    assert _stored(om) == _stored(_omega_fold(m, k, N))
+    log = ple_log(om)
+    assert _stored(log) == _stored(_ple_log_replaced(om))
+    if sum(map(sum, om.N)) <= 4:
+        assert _stored(ple_exp(log)) == _stored(_ple_exp_replaced(log))
 
 
 def test_config_validation():
