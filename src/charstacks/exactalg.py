@@ -8,25 +8,32 @@ both occur and no fractional exponents are ever needed.
 Rational functions are stored as num/den pairs of Laurent polynomials.
 Equality is decided by cross-multiplication; stored forms are NOT canonical.
 Every sum is returned in lowest terms, since unreduced sums swell
-multiplicatively.  `RatFunc.sum` adds any number of terms over the lcm of
-their denominators (Knuth, TAOCP vol. 2, section 4.5.1, after Henrici
-1956): numerators over one denominator are added first, and each further
-denominator d costs a gcd of d and the running denominator only, where
-cross-multiplying by the whole of d would build common factors for the
-final gcd to cancel.  `a + b` is the sum of two terms, and a caller that
-accumulates many terms per coefficient collects them and sums them once.
-`RatFunc.sum` takes any addends, so its final gcd is a full one.  Where
-both addends are known to be in lowest terms, Henrici's cheaper final gcd
-applies: `_add_lowest` reduces the new numerator against the gcd of the
-two denominators only, and skips that gcd when the denominators are
-coprime, and `_mul_lowest` multiplies by a polynomial at the cost of one
-gcd of that polynomial against the denominator.  The kernel series
-Omega, whose terms are built in lowest terms, is summed with them.
-Products and quotients are reduced only where a caller asks.  A reduced
-value has one stored form: num and den have integer coefficients with
-coprime contents, den has min exponents 0 and a positive leading
-coefficient in lex order on (z, w, q, t, u), and a monomial den is folded
-into num, so the order of a sum's terms does not change its stored form.
+multiplicatively.  A reduced value has one stored form: num and den have
+integer coefficients with coprime contents, den has min exponents 0 and a
+positive leading coefficient in lex order on (z, w, q, t, u), and a
+monomial den is folded into num, so the order of a sum's terms does not
+change its stored form.  A RatFunc marks itself `stored` when it is known
+to be in that form: a value with den 1, and every value that
+`simplified()` or a sum returns.  Products, quotients, negations and
+substitutions are not marked, and are reduced only where a caller asks
+or where they are summed.
+
+`RatFunc.sum` adds any number of terms over the lcm of their denominators
+(Knuth, TAOCP vol. 2, section 4.5.1, after Henrici 1956): numerators over
+one denominator are added first, and each further denominator d costs a
+gcd of d and the running denominator only, where cross-multiplying by the
+whole of d would build common factors for the final gcd to cancel.  An
+addend may not be in lowest terms, so that final gcd is a full one.
+Henrici's cheaper final gcd needs only that both addends are reduced, and
+`RatFunc.sum` reads that off the mark: one marked addend is returned as
+it is, and two go to `_add_lowest`, which reduces the new numerator
+against the gcd of the two denominators only and skips that gcd when the
+denominators are coprime.  `a + b` is the sum of two terms, and a caller
+that accumulates many terms per coefficient collects them and sums them
+once.  `_mul_lowest` multiplies a marked value by a polynomial at the
+cost of one gcd of that polynomial against the denominator; the kernel
+series Omega builds its terms with it.
+
 The gcd is the heuristic gcd of Char, Geddes & Gonnet (1989; Geddes,
 Czapor & Labahn 1992, section 7.7) on integer term dicts.  It evaluates at
 powers of two and reads the gcd and both cofactors from their images.
@@ -69,7 +76,7 @@ import struct
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 VARS = ("z", "w", "q", "t", "u")
 NVARS = len(VARS)
@@ -479,9 +486,15 @@ class MPoly:
 
 
 class RatFunc:
-    """Rational function num/den; equality by cross-multiplication."""
+    """Rational function num/den; equality by cross-multiplication.
 
-    __slots__ = ("num", "den")
+    `stored` is True only on a value known to be in the stored form that
+    `simplified()` gives: one with den 1, or one built by `_lowest`, as
+    every result of `simplified()`, `_add_lowest` and `_mul_lowest` is.
+    Other values may be in that form without the mark.
+    """
+
+    __slots__ = ("num", "den", "stored")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -494,6 +507,7 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
         self.den = den
+        self.stored = den.is_one()
 
     # -- predicates ----------------------------------------------------------
 
@@ -521,17 +535,25 @@ class RatFunc:
 
     @staticmethod
     def sum(terms):
-        """The sum of the RatFuncs `terms`, in lowest terms.
+        """The sum of the RatFuncs `terms`, in stored form.
 
-        Addends that share a denominator have their numerators added, and
-        a zero numerator is dropped.  The distinct denominators are then
-        brought to their lcm one at a time: with den/d = a/b in lowest
-        terms, which takes a gcd of the two denominators only,
-        num/den + n/d = (num*b + n*a)/(den*b).  The result is reduced once,
-        by `simplified()`: a full gcd, since an addend may not be in lowest
-        terms.  For two addends that are, `_add_lowest` gives the same
-        stored form with a gcd against the gcd of the denominators only.
+        Zero addends are dropped.  One stored addend is returned as it is,
+        and two go to `_add_lowest`, whose gcd is against the gcd of their
+        denominators only.  Otherwise addends that share a denominator
+        have their numerators added, and a zero numerator is dropped.  The
+        distinct denominators are then brought to their lcm one at a time:
+        with den/d = a/b in lowest terms, which takes a gcd of the two
+        denominators only, num/den + n/d = (num*b + n*a)/(den*b).  The
+        result is reduced once, by `simplified()`: a full gcd, since an
+        addend may not be in lowest terms.  Three or more stored addends
+        take this path too: summed pairwise, each would cost a gcd.
         """
+        terms = [t for t in terms if not t.num.is_zero()]
+        if all(t.stored for t in terms):
+            if len(terms) == 1:
+                return terms[0]
+            if len(terms) == 2:
+                return _add_lowest(*terms)
         nums = {}
         for t in terms:
             nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
@@ -653,32 +675,29 @@ class RatFunc:
     # -- cleanup and normal forms ---------------------------------------------
 
     def simplified(self):
-        """num/den in lowest terms; semantics unchanged.
+        """num/den in stored form; semantics unchanged.
 
-        Unless den is 1 or a monomial (folded into num), num and den are
-        integral with coprime contents, den has min exponents 0, and its
-        leading coefficient in lex order is positive.
+        A stored value is returned as it is; any other is reduced by one
+        gcd and put in stored form by `_lowest`: unless den is 1 or a
+        monomial (folded into num), num and den are integral with coprime
+        contents, den has min exponents 0, and its leading coefficient in
+        lex order is positive.
         """
-        if self.num.is_zero():
-            return RatFunc(MPoly(), MPoly.const(1))
-        if self.den.is_one():
+        if self.stored:
             return self
+        if self.num.is_zero():
+            return RatFunc(0)
         if self.den.is_monomial():
-            return RatFunc(self.num.exact_div(self.den), MPoly.const(1))
+            return _lowest(self.num.terms, self.den.terms)
         # monomials are units: shift to honest polynomials first
-        sn, sd = _bounds(self.num.terms)[0], _bounds(self.den.terms)[0]
-        mn, f = _integral((self.num * MPoly.monomial(map(neg, sn))).terms)
-        md, g = _integral((self.den * MPoly.monomial(map(neg, sd))).terms)
+        (sn, f), (sd, g) = _shifted(self.num.terms), _shifted(self.den.terms)
+        (mn, f), (md, g) = _integral(f), _integral(g)
         _, f, g = _heugcd(f, g)
         # num/den = (f * md) / (g * mn); mn shares no factor with the
-        # content of f, nor md with that of g.  The sign of c makes den's
-        # leading coefficient positive.
-        c = gcd(mn, md) * (1 if g[max(g)] > 0 else -1)
-        num = MPoly(f) * MPoly.monomial(map(sub, sn, sd), md // c)
-        den = MPoly(g) * (mn // c)
-        if den.is_monomial():
-            return RatFunc(num.exact_div(den), MPoly.const(1))
-        return RatFunc(num, den)
+        # content of f, nor md with that of g
+        c = gcd(mn, md)
+        return _lowest(_mul(f, {tuple(map(sub, sn, sd)): md // c}),
+                       _mul(g, {ZERO_EXP: mn // c}))
 
     def as_mpoly(self):
         """The underlying Laurent polynomial, or None if genuinely rational."""
@@ -706,7 +725,8 @@ class RatFunc:
 #
 # A value in lowest terms (the stored form `simplified()` gives) lets a sum
 # or a product skip most of its final gcd.  Both primitives return the
-# stored form `simplified()` would give, and neither checks its operands.
+# stored form `simplified()` would give, marked, and neither checks its
+# operands: `RatFunc.sum` sends `_add_lowest` only marked addends.
 
 
 def _shifted(p):
@@ -724,15 +744,18 @@ def _unshifted(s, p):
 
 
 def _lowest(num, den):
-    """The stored form of num/den for integer term dicts that share no
-    factor, contents included, with den of min exponents 0."""
+    """The stored form of num/den, marked stored, for term dicts num and
+    den: integer ones that share no factor, contents included, with den
+    of min exponents 0, or any num over a monomial den."""
     if den[max(den)] < 0:
         num = {e: -c for e, c in num.items()}
         den = {e: -c for e, c in den.items()}
     num, den = _as_poly(num), _as_poly(den)
     if den.is_monomial():
         return RatFunc(num.exact_div(den))
-    return RatFunc(num, den)
+    out = RatFunc(num, den)
+    out.stored = True
+    return out
 
 
 def _integral_pair(x):
@@ -760,7 +783,8 @@ def _mul_lowest(x, p):
 
 
 def _add_lowest(x, y):
-    """x + y in stored form, for x and y in stored form.
+    """x + y in stored form, for x and y in stored form (`RatFunc.sum`
+    sends two stored addends here).
 
     With g = gcd(d_x, d_y), d_x = g a and d_y = g b, the sum is
     t / (g a b) with t = n_x b + n_y a.  A prime dividing t and a divides
@@ -768,14 +792,10 @@ def _add_lowest(x, y):
     for b; by Gauss's lemma the same holds for the integer primes of the
     contents.  So t shares with g a b only factors of g, and t is reduced
     against g alone: by an integer gcd when g is a constant, and with no
-    gcd when g is 1.  Two denominators 1 add as `RatFunc.sum` adds them.
+    gcd when g is 1.  Two denominators 1 add their numerators.
     """
-    if x.num.is_zero():
-        return y
-    if y.num.is_zero():
-        return x
     if x.den.is_one() and y.den.is_one():
-        return RatFunc.sum((x, y))
+        return RatFunc(x.num + y.num)
     (nx, dx), (ny, dy) = _integral_pair(x), _integral_pair(y)
     if dx == dy:
         g, a, b = dx, {ZERO_EXP: 1}, {ZERO_EXP: 1}

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .exactalg import ONE, Z, W, _add_lowest, _mul_lowest
+from .exactalg import ONE, Z, W, _mul_lowest
 from . import partitions as pt
 from .macdonald import specialized_H
 from .symfunc import SymFunc, fits, ple_log, hall_pair_h
@@ -57,15 +57,14 @@ def omega(m, k, N):
             per_alphabet = [[(mu, c.num) for (mu,), c in pcoeffs.items()
                              if fits(mu, rows)] for rows in bound]
             # shape by shape: one sum per degree swells over its hooks'
-            # lcm.  Every term and partial sum is in lowest terms, so a
+            # lcm.  Every term and partial sum is in stored form, so a
             # term costs a gcd of its Macdonald coefficient, an integral
-            # polynomial, against the hook's denominator, and a sum a gcd
+            # polynomial, against the hook's denominator, and `+` a gcd
             # against the gcd of the two denominators (exactalg)
             for combo in itertools.product(*per_alphabet):
                 key = tuple(mu for mu, _ in combo)
                 term = _mul_lowest(hook, math.prod(p for _, p in combo))
-                coeffs[key] = (_add_lowest(coeffs[key], term)
-                               if key in coeffs else term)
+                coeffs[key] = coeffs[key] + term if key in coeffs else term
     return SymFunc(k, N, coeffs)
 
 

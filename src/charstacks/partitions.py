@@ -73,19 +73,6 @@ def conjugate(lam):
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def dominance_leq(lam, nu):
-    """lam <= nu in dominance order; both must partition the same n."""
-    if sum(lam) != sum(nu):
-        raise ValueError("dominance needs partitions of equal size")
-    acc_l = acc_n = 0
-    for i in range(max(len(lam), len(nu))):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_n += nu[i] if i < len(nu) else 0
-        if acc_l > acc_n:
-            return False
-    return True
-
-
 def zlambda(lam):
     """z_lambda = prod_i i^{m_i} m_i! (order of the centralizer in S_n)."""
     z = 1

@@ -20,10 +20,11 @@ So H~_mu, Omega and their products run on integer coefficients, and
 rationals enter only through the weights of the plethystic Log and the
 views.  Every coefficient sum, of a product, a view or the Log, is one
 `_sum_terms`: it brings the rational weights of each key to their lcm,
-so those weights too enter over integer numerators.  Values already in
-lowest terms are not reduced again: the Exp and Log series start their
-powers at a, not at the product 1 * a, and a key that only the r = 1
-Adams term reaches keeps its coefficient rather than being summed alone.
+so those weights too enter over integer numerators.  A coefficient of
+weight 1 at a key whose lcm is 1 is summed as it is, and `RatFunc.sum`
+returns a single addend marked stored unchanged, so a value already in
+lowest terms is not reduced again; the Exp and Log series still start
+their powers at a, not at the product 1 * a, which saves the product.
 
 Truncation has one rule.  The bound N is one partition beta_i per
 alphabet, and a key is kept iff each lam_i fits beta_i: lam_i, padded
@@ -214,15 +215,19 @@ def _sum_terms(terms):
     """sum c * f per key over triples (key, RatFunc c, rational f), each
     key's sum taken once.  Every f of a key is brought to the lcm L of
     that key's denominators, c * f = c.num * (f L) / (c.den L), so the
-    numerators are summed on integer multiples.  Zero sums are dropped."""
+    numerators are summed on integer multiples; where f and L are both 1,
+    c itself is summed, so a stored c keeps its mark.  Zero sums are
+    dropped."""
     parts = {}
     for key, c, f in terms:
         parts.setdefault(key, []).append((c, f))
     out = {}
     for key, cfs in parts.items():
         L = math.lcm(*(f.denominator for _, f in cfs))
-        total = RatFunc.sum(RatFunc(c.num * (f * L).numerator, c.den * L)
-                            for c, f in cfs)
+        total = RatFunc.sum(
+            c if f == 1 and L == 1
+            else RatFunc(c.num * (f * L).numerator, c.den * L)
+            for c, f in cfs)
         if not total.is_zero():
             out[key] = total
     return out
@@ -412,9 +417,10 @@ def plethysm_pr(r, f):
 def _series(a, weight):
     """sum_{j>=1} weight(j) a^j, truncated.  a has zero constant term, so
     a^j vanishes once j exceeds the total size of the bound.  The powers
-    start at a itself, not at 1 * a, which would only reduce every
-    coefficient of a again; every key is still summed by `_sum_terms`, so
-    the result is in lowest terms whatever a's coefficients are."""
+    start at a itself, not at 1 * a, which would cost a product and leave
+    every coefficient of a to be reduced again; every key is still summed
+    by `_sum_terms`, so the result is in stored form whatever a's
+    coefficients are, and a stored one that only a reaches is kept."""
     terms = []
     power = a
     for j in range(1, sum(map(sum, a.N)) + 1):
@@ -430,21 +436,16 @@ def _adams(f, weight):
     """sum_{r>=1} weight(r) (p_r o f), truncated.  f has zero constant term,
     so p_r o f vanishes once r exceeds the largest row of the bound.
 
-    weight(1) is 1, for Exp and Log alike, so the r = 1 term is f itself:
-    a key of f that no r >= 2 plethysm reaches keeps f's coefficient as it
-    is, and the other keys are summed by `_sum_terms`.  The copy is in
-    lowest terms when f's coefficients are."""
-    terms = []
+    weight(1) is 1, for Exp and Log alike, so the r = 1 term is f itself,
+    with no plethysm; a stored coefficient of f at a key that no r >= 2
+    plethysm reaches passes through `_sum_terms` as it is."""
+    terms = [(key, c, 1) for key, c in f.coeffs.items()]
     for r in range(2, max((rows[0] for rows in f.N if rows), default=0) + 1):
         w = weight(r)
         if w:
             terms += ((key, c, w)
                       for key, c in plethysm_pr(r, f).coeffs.items())
-    reached = {key for key, _, _ in terms}
-    out = {key: c for key, c in f.coeffs.items() if key not in reached}
-    out.update(_sum_terms([(key, c, 1) for key, c in f.coeffs.items()
-                           if key in reached] + terms))
-    return SymFunc(f.k, f.N, out)
+    return SymFunc(f.k, f.N, _sum_terms(terms))
 
 
 def ple_exp(f):

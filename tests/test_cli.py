@@ -163,6 +163,31 @@ def test_count_bad_field_refused(capsys, q, message):
     assert code == 2 and out == "" and message in err
 
 
+NON, ORI = ["--nonorientable", "--r", "2"], ["--orientable", "--g", "1"]
+COUNT = ["--n", "2", "--zeta", "-1", "--q", "5"]
+ONE_SURFACE = "exactly one of --nonorientable/--orientable required"
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[([which, *flags, "--mu", "(2)"], ONE_SURFACE)
+      for which in ("eseries", "mixed") for flags in ([], NON + ORI)],
+    (["count", *COUNT], ONE_SURFACE),
+    (["count", *NON, *ORI, *COUNT], ONE_SURFACE),
+    (["eseries", "--nonorientable", "--mu", "(2)"],
+     "--nonorientable requires --r"),
+    (["count", "--orientable", *COUNT], "--orientable requires --g"),
+    (["mixed", *NON, "--mu", "(2)|(1,1)", "--central-angle", "1/2"],
+     "need one --central-angle per alphabet"),
+    (["eseries", *NON, "--mu", "(1,2)"], "parts must be weakly decreasing"),
+    (["hlv", "--mu", "(0)", "--m", "2"], "partition parts must be >= 1"),
+    (["count", *NON, "--n", "2", "--zeta", "5", "--q", "5"],
+     "zeta must be invertible"),
+])
+def test_refusals_exit_2_before_output(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_json_deterministic(capsys):
     args = ["eseries", "--nonorientable", "--r", "2", "--mu", "(2)"]
     main(args)

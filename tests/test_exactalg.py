@@ -718,3 +718,83 @@ def test_mul_lowest_one_gcd_of_the_factor(monkeypatch):
     s = ea._mul_lowest(x, p)
     assert calls == [(MPoly.parse("-1 + 1*z^2").terms, x.den.terms)]
     assert _stored(s) == _stored((x * RatFunc(p)).simplified())
+
+
+# -- the stored mark -------------------------------------------------------------
+# `simplified()` returns a value marked stored as it is, and `RatFunc.sum`
+# adds one or two such values without a full gcd, so the mark must sit only
+# on values in stored form.
+
+def _is_own_reduction(x):
+    """Whether x is in stored form: num and den equal those of the
+    reduction of an unmarked copy (num and den compared separately)."""
+    red = RatFunc(x.num, x.den).simplified()
+    return red.num == x.num and red.den == x.den
+
+
+def test_marked_values_are_their_own_reduction_randomized():
+    rng = random.Random(53)
+    for _ in range(150):
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            terms.append(_random_addend(rng, terms))
+        x, y = _random_lowest(rng, FACTORS), _random_lowest(rng, FACTORS)
+        p = MPoly.monomial(tuple(rng.randint(-2, 1) for _ in range(5)),
+                           rng.choice((-2, 1, 3)))
+        for f in rng.sample(FACTORS, rng.randint(0, 2)):
+            p = p * f
+        values = [RatFunc.sum(terms), x + y, x - y, x + (-x).simplified(),
+                  RatFunc.sum((x, y, *terms)), ea._mul_lowest(x, p),
+                  _random_unreduced(rng).simplified()]
+        values += [t.simplified() for t in terms]
+        for v in values:
+            assert v.stored and _is_own_reduction(v), v
+
+
+def test_constructed_value_marked_only_over_one():
+    common = MPoly.parse("-1 + 1*z^1")
+    num, den = MPoly.parse("1 + 1*z^1"), MPoly.parse("2 + 1*w^1")
+    u = RatFunc(num * common, den * common)
+    assert not u.stored
+    red = u.simplified()
+    assert red.stored and (red.num, red.den) == (num, den)
+    assert RatFunc(MPoly.parse("1/2*z^-1 + 1*w^1")).stored
+    half = RatFunc(1, 2)
+    assert not half.stored
+    assert _stored(half.simplified()) == (MPoly.parse("1/2"), MPoly.const(1))
+    # products, quotients, negation and substitutions are not marked, so a
+    # later sum or `simplified()` still reduces them
+    for v in (red * ONE, red / ONE, -red, red.substitute({"t": T}),
+              red.scale_exponents(1)):
+        assert not v.stored
+    s = RatFunc.sum([red * RatFunc(common, common)])
+    assert s.stored and _stored(s) == (num, den)
+
+
+def test_sum_of_one_marked_addend_is_itself():
+    x = ((Z + W) / (Z * Z - ONE)).simplified()
+    assert x.stored
+    assert RatFunc.sum([x]) is x
+    assert RatFunc.sum([ZERO, x, ZERO]) is x
+    assert x + ZERO is x and ZERO + x is x
+    one = RatFunc(MPoly.parse("1/3*z^1"))
+    assert RatFunc.sum([one]) is one
+
+
+def test_add_of_two_marked_values_is_the_lcm_path_randomized():
+    rng = random.Random(59)
+    for _ in range(200):
+        x = _random_lowest(rng, FACTORS)
+        kind = rng.randrange(4)
+        if kind == 0:  # an equal denominator
+            y = RatFunc(_random_rational_mpoly(rng), x.den).simplified()
+        elif kind == 1:  # a zero sum
+            y = (-x).simplified()
+        else:
+            y = _random_lowest(rng, FACTORS)
+        assert x.stored and y.stored
+        # three addends take the lcm path and its full final gcd
+        half = y * Fraction(1, 2)
+        expected = RatFunc.sum((x, half, half))
+        for s in (x + y, y + x):
+            assert s.stored and _stored(s) == _stored(expected), (x, y)

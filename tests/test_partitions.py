@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -46,27 +45,6 @@ def test_conjugate():
     for n in range(9):
         for lam in pt.enumerate_partitions(n):
             assert pt.conjugate(pt.conjugate(lam)) == lam
-
-
-def test_dominance_chain():
-    assert pt.dominance_leq((1, 1, 1), (2, 1))
-    assert pt.dominance_leq((2, 1), (3,))
-    assert not pt.dominance_leq((3,), (2, 1))
-    with pytest.raises(ValueError):
-        pt.dominance_leq((2,), (2, 1))
-
-
-def test_dominance_partial_order():
-    for n in range(1, 9):
-        parts = pt.enumerate_partitions(n)
-        for a in parts:
-            assert pt.dominance_leq(a, a)
-        for a, b in itertools.permutations(parts, 2):
-            if pt.dominance_leq(a, b) and pt.dominance_leq(b, a):
-                assert a == b
-        for a, b, c in itertools.product(parts, repeat=3):
-            if pt.dominance_leq(a, b) and pt.dominance_leq(b, c):
-                assert pt.dominance_leq(a, c)
 
 
 def test_statistics():
