@@ -18,21 +18,19 @@ to be in that form: a value with den 1, and every value that
 substitutions are not marked, and are reduced only where a caller asks
 or where they are summed.
 
-`RatFunc.sum` adds any number of terms over the lcm of their denominators
-(Knuth, TAOCP vol. 2, section 4.5.1, after Henrici 1956): numerators over
-one denominator are added first, and each further denominator d costs a
-gcd of d and the running denominator only, where cross-multiplying by the
-whole of d would build common factors for the final gcd to cancel.  An
-addend may not be in lowest terms, so that final gcd is a full one.
-Henrici's cheaper final gcd needs only that both addends are reduced, and
-`RatFunc.sum` reads that off the mark: one marked addend is returned as
-it is, and two go to `_add_lowest`, which reduces the new numerator
-against the gcd of the two denominators only and skips that gcd when the
-denominators are coprime.  `a + b` is the sum of two terms, and a caller
-that accumulates many terms per coefficient collects them and sums them
-once.  `_mul_lowest` multiplies a marked value by a polynomial at the
-cost of one gcd of that polynomial against the denominator; the kernel
-series Omega builds its terms with it.
+`RatFunc.sum` adds any number of terms by one rule.  It keeps the marked
+addends as they are, adds the numerators of the unmarked ones that share
+a denominator, and reduces each such group once, by a full gcd, since an
+unmarked addend may not be in lowest terms.  It then adds the reduced
+values left to right by Henrici's rule (Knuth, TAOCP vol. 2, section
+4.5.1, after Henrici 1956), in `_add_lowest`: since both addends are
+reduced, the new numerator is reduced against the gcd of the two
+denominators only, and that gcd is skipped when the denominators are
+coprime.  `a + b` is the sum of two terms, and a caller that accumulates
+many terms per coefficient collects them and sums them once.
+`_mul_lowest` multiplies a marked value by a polynomial at the cost of
+one gcd of that polynomial against the denominator; the kernel series
+Omega builds its terms with it.
 
 The gcd is the heuristic gcd of Char, Geddes & Gonnet (1989; Geddes,
 Czapor & Labahn 1992, section 7.7) on integer term dicts.  It evaluates at
@@ -74,6 +72,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import reduce
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
 from operator import add, mul, sub
@@ -537,34 +536,21 @@ class RatFunc:
     def sum(terms):
         """The sum of the RatFuncs `terms`, in stored form.
 
-        Zero addends are dropped.  One stored addend is returned as it is,
-        and two go to `_add_lowest`, whose gcd is against the gcd of their
-        denominators only.  Otherwise addends that share a denominator
-        have their numerators added, and a zero numerator is dropped.  The
-        distinct denominators are then brought to their lcm one at a time:
-        with den/d = a/b in lowest terms, which takes a gcd of the two
-        denominators only, num/den + n/d = (num*b + n*a)/(den*b).  The
-        result is reduced once, by `simplified()`: a full gcd, since an
-        addend may not be in lowest terms.  Three or more stored addends
-        take this path too: summed pairwise, each would cost a gcd.
+        Zero addends are dropped and marked ones kept as they are.  The
+        unmarked addends that share a denominator have their numerators
+        added, and each such group is reduced once, by `simplified()`.
+        The reduced values are then added left to right by `_add_lowest`,
+        whose gcd is against the gcd of two denominators only.
         """
         terms = [t for t in terms if not t.num.is_zero()]
-        if all(t.stored for t in terms):
-            if len(terms) == 1:
-                return terms[0]
-            if len(terms) == 2:
-                return _add_lowest(*terms)
         nums = {}
         for t in terms:
-            nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
-        parts = [(d, n) for d, n in nums.items() if not n.is_zero()]
-        if not parts:
-            return RatFunc(0)
-        (den, num), *rest = parts
-        for d, n in rest:
-            ratio = RatFunc(den, d).simplified()
-            num, den = num * ratio.den + n * ratio.num, den * ratio.den
-        return RatFunc(num, den).simplified()
+            if not t.stored:
+                nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
+        terms = [t for t in terms if t.stored] + [
+            RatFunc(n, d).simplified() for d, n in nums.items()
+            if not n.is_zero()]
+        return reduce(_add_lowest, terms) if terms else RatFunc(0)
 
     def __add__(self, other):
         other = RatFunc._coerce(other)
@@ -784,7 +770,7 @@ def _mul_lowest(x, p):
 
 def _add_lowest(x, y):
     """x + y in stored form, for x and y in stored form (`RatFunc.sum`
-    sends two stored addends here).
+    adds every reduced value by this rule).
 
     With g = gcd(d_x, d_y), d_x = g a and d_y = g b, the sum is
     t / (g a b) with t = n_x b + n_y a.  A prime dividing t and a divides

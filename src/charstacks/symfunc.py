@@ -18,13 +18,14 @@ and I.8):
 
 So H~_mu, Omega and their products run on integer coefficients, and
 rationals enter only through the weights of the plethystic Log and the
-views.  Every coefficient sum, of a product, a view or the Log, is one
-`_sum_terms`: it brings the rational weights of each key to their lcm,
-so those weights too enter over integer numerators.  A coefficient of
-weight 1 at a key whose lcm is 1 is summed as it is, and `RatFunc.sum`
-returns a single addend marked stored unchanged, so a value already in
-lowest terms is not reduced again; the Exp and Log series still start
-their powers at a, not at the product 1 * a, which saves the product.
+views.  Every coefficient sum, of a sum, a product, a view or the Log,
+is one `_sum_terms`: it brings the rational weights of each key to their
+lcm, so those weights too enter over integer numerators.  A coefficient
+of weight 1 at a key whose lcm is 1 is summed as it is, and `RatFunc.sum`
+keeps an addend marked stored as it is and adds it by Henrici's rule, so
+a value already in lowest terms is not reduced again; the Exp and Log
+series still start their powers at a, not at the product 1 * a, which
+saves the product.
 
 Truncation has one rule.  The bound N is one partition beta_i per
 alphabet, and a key is kept iff each lam_i fits beta_i: lam_i, padded
@@ -309,10 +310,8 @@ class SymFunc:
 
     def __add__(self, other):
         self._check_compat(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, ZERO) + c
-        return SymFunc(self.k, self.N, out)
+        return SymFunc(self.k, self.N, _sum_terms(
+            (key, c, 1) for f in (self, other) for key, c in f.coeffs.items()))
 
     def __neg__(self):
         return self.map_coefficients(lambda c: -c)

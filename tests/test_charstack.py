@@ -209,3 +209,15 @@ def test_counterexample_computes_HH_once(monkeypatch):
     assert counterexample_report(3, 2).confirmed
     assert calls == [(((3,),), 2)]
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: OrbitSpec.make([(Fraction(1, 2), 0)]),
+     "multiplicities must be >= 1"),
+    (lambda: orientable(-1, 1), "orientable surface needs g >= 0 only"),
+    (lambda: charstack.SurfaceSpec(kind="klein", k=1),
+     "unknown surface kind 'klein'"),
+], ids=["multiplicity-0", "genus-negative", "unknown-kind"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -552,6 +552,24 @@ def test_hlv_gcds_proved_by_the_bound(monkeypatch):
     assert len(products) <= 2
 
 
+@pytest.mark.parametrize("mus, m, budget", [
+    (((2, 1), (2, 1)), 4, 65),
+    (((2,), (1, 1)), 4, 15),
+    (((3,),), 2, 48),
+    # the smallest input with a sum of unreduced addends over two
+    # denominators, each reduced by a gcd of its own
+    (((2,), (2,)), 3, 28),
+], ids=["(2,1)|(2,1)-m4", "(2)|(1,1)-m4", "(3)-m2", "(2)|(2)-m3"])
+def test_hlv_gcd_budget(monkeypatch, mus, m, budget):
+    # the gcd work of HH, counted rather than timed: top-level `_heugcd`
+    # calls as of the one sum pipeline of `RatFunc.sum`
+    from charstacks.hlvkernel import hlv_HH
+
+    calls = _top_level_gcds(monkeypatch)
+    hlv_HH(mus, m)
+    assert len(calls) <= budget
+
+
 def test_gcd_divisor_larger_than_dividend():
     # g's coefficients exceed f's, so the evaluation point must come from
     # the larger of the two
@@ -722,8 +740,8 @@ def test_mul_lowest_one_gcd_of_the_factor(monkeypatch):
 
 # -- the stored mark -------------------------------------------------------------
 # `simplified()` returns a value marked stored as it is, and `RatFunc.sum`
-# adds one or two such values without a full gcd, so the mark must sit only
-# on values in stored form.
+# adds such values without a full gcd, so the mark must sit only on values
+# in stored form.
 
 def _is_own_reduction(x):
     """Whether x is in stored form: num and den equal those of the
@@ -781,7 +799,7 @@ def test_sum_of_one_marked_addend_is_itself():
     assert RatFunc.sum([one]) is one
 
 
-def test_add_of_two_marked_values_is_the_lcm_path_randomized():
+def test_add_of_two_marked_values_is_the_grouped_sum_randomized():
     rng = random.Random(59)
     for _ in range(200):
         x = _random_lowest(rng, FACTORS)
@@ -793,8 +811,25 @@ def test_add_of_two_marked_values_is_the_lcm_path_randomized():
         else:
             y = _random_lowest(rng, FACTORS)
         assert x.stored and y.stored
-        # three addends take the lcm path and its full final gcd
+        # the two unmarked halves share a denominator, so they are added
+        # and reduced as one group before Henrici's rule adds x
         half = y * Fraction(1, 2)
         expected = RatFunc.sum((x, half, half))
         for s in (x + y, y + x):
             assert s.stored and _stored(s) == _stored(expected), (x, y)
+
+
+def test_sum_of_marked_values_matches_cross_multiplied_randomized():
+    # marked addends reach `_add_lowest` alone, so the rule it replaced is
+    # their oracle: on denominators that share factors, and on sums whose
+    # last addend cancels some of them
+    rng = random.Random(61)
+    for _ in range(150):
+        terms = [_random_lowest(rng, FACTORS)
+                 for _ in range(rng.randint(1, 3))]
+        if rng.randrange(2):
+            terms.append(_random_lowest(rng, FACTORS) - RatFunc.sum(terms))
+        expected = _cross_multiplied(terms)
+        for order in itertools.permutations(terms):
+            got = RatFunc.sum(order)
+            assert got.stored and _stored(got) == _stored(expected), order

@@ -479,3 +479,15 @@ def test_class_counts_match_element_oracle():
         assert rep.raw_count == want, (kind, copies, orbs, q, n)
         cases += 1
     assert cases == 216
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fc.FqOrbit.split([(0, 1), (2, 1)], 5),
+     "eigenvalues must be distinct and nonzero"),
+    (lambda: fc.FqOrbit.split([(2, 1), (7, 1)], 5),
+     "eigenvalues must be distinct and nonzero"),
+    (lambda: fc.FqOrbit.central(2, 2, 9).as_angles(), "q must be prime: 9"),
+], ids=["split-zero", "split-repeated", "angles-q9"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

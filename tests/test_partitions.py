@@ -91,3 +91,11 @@ def test_multipartition_refuses_empty_components():
 def test_text_roundtrip():
     for lam in ((3, 1), (), (1, 1, 1)):
         assert pt.parse_partition(pt.partition_text(lam)) == lam
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pt.enumerate_partitions(-1), "n must be >= 0"),
+], ids=["enumerate-negative"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -403,3 +403,58 @@ def test_mobius_matches_factorisation():
         squarefree = all(n % (p * p) for p in primes)
         expected = (-1) ** len(primes) if squarefree else 0
         assert _mobius(n) == expected, n
+
+
+def test_eq_says_false():
+    key2, key11 = ((2,),), ((1, 1),)
+    f = SymFunc(1, 2, {key2: Z, key11: ONE})
+    values = [
+        SymFunc(1, 2, {key2: Z, key11: RatFunc(2)}),  # one coefficient
+        SymFunc(1, 2, {key2: Z}),  # a key fewer
+        SymFunc(1, 2, {key2: Z, key11: ONE, ((1,),): ONE}),  # a key more
+        SymFunc(1, 3, {key2: Z, key11: ONE}),  # another N
+        SymFunc(1, ((2, 1),), {key2: Z, key11: ONE}),  # another bound
+        SymFunc(2, 2, {((2,), ()): Z, ((1, 1), ()): ONE}),  # another k
+    ]
+    for g in values:
+        assert not f == g and not g == f, g
+        assert f != g and g != f, g
+    # equal values, one stored unreduced, and one value against itself
+    same = SymFunc(1, 2, {key2: RatFunc(2 * Z.num, 2), key11: ONE})
+    assert f == same and not f != same
+    for g in values:
+        assert g == g
+    for other in (ONE, 1, Z, f.coeffs, "f"):
+        assert not f == other and f != other
+    assert not SymFunc.one(1, 2) == ONE and not SymFunc.zero(1, 2) == 0
+
+
+def test_arithmetic_across_bounds_refused():
+    f = SymFunc.one(1, 2)
+    for g in (SymFunc.one(1, 3), SymFunc.one(2, 2), SymFunc.one(1, ((1, 1),))):
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ValueError, match="incompatible alphabets"):
+                op(f, g)
+            with pytest.raises(ValueError, match="incompatible alphabets"):
+                op(g, f)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: basis_to_m("x", (1,)), "unknown basis 'x'"),
+    (lambda: plethysm_pr(0, SymFunc.one(1, 2)), "r must be >= 1"),
+    (lambda: ple_log(SymFunc.one(1, 2).scale(2)),
+     "ple_log needs constant term exactly 1"),
+    (lambda: ple_log(SymFunc.zero(1, 2)),
+     "ple_log needs constant term exactly 1"),
+    (lambda: SymFunc(2, ((2,),)), "one bound partition per alphabet"),
+    (lambda: SymFunc(1, ((2,), (1,))), "one bound partition per alphabet"),
+    (lambda: basis_element("m", ((1,),), 2, 2),
+     "one partition per alphabet required"),
+    (lambda: basis_element("m", ((1,), (1,)), 1, 2),
+     "one partition per alphabet required"),
+], ids=["basis", "plethysm-r0", "log-constant-2", "log-constant-0",
+        "bound-too-few", "bound-too-many", "element-too-few",
+        "element-too-many"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
