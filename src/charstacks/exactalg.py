@@ -18,7 +18,8 @@ to be in that form: a value with den 1, and every value that
 substitutions are not marked, and are reduced only where a caller asks
 or where they are summed.
 
-`RatFunc.sum` adds any number of terms by one rule.  It keeps the marked
+`RatFunc.sum` adds any number of terms by one rule.  It adds the addends
+over 1 in one pass over their terms, with no gcd, keeps the other marked
 addends as they are, adds the numerators of the unmarked ones that share
 a denominator, and reduces each such group once, by a full gcd, since an
 unmarked addend may not be in lowest terms.  It then adds the reduced
@@ -66,6 +67,18 @@ Fraction, which may be integral until the next entry point normalises it.
 The one hazard is `/` (or a negative power) between two ints, which gives
 a float: every coefficient quotient goes through `Fraction`, and a float
 reaching an entry point raises TypeError.
+
+The entry points dispatch on exact types.  `RatFunc()` and an MPoly
+product take an operand as an MPoly when its type is MPoly and send
+anything else through `_coeff`, which accepts ints, bools and Fractions
+and raises TypeError on the rest; the RatFunc operators coerce only
+those and MPolys, and return NotImplemented on anything else, so a float
+operand raises TypeError there too.  `Fraction` is an abstract base
+class, so `isinstance` on it is slow, and `_coeff` tests the exact type
+first.  No term dict is changed once an MPoly holds it: every operation
+builds a new dict, or shares one it was given.  So every RatFunc built
+without a denominator shares one constant polynomial 1, and a product by
+a scalar scales the coefficients with no constant polynomial built.
 """
 
 from __future__ import annotations
@@ -83,19 +96,17 @@ VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 ZERO_EXP = (0,) * NVARS
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not an exact scalar: {c!r}")
-
-
 def _coeff(c):
-    """An exact scalar in stored form: int if integral, else Fraction."""
+    """An exact scalar in stored form: int if integral, else Fraction.
+    The exact types are tested first: Fraction is an abstract base class,
+    so isinstance on it is slow."""
     if type(c) is int:
         return c
-    c = _as_fraction(c)
+    if type(c) is not Fraction:
+        if isinstance(c, int):  # a bool
+            return int(c)
+        if not isinstance(c, Fraction):
+            raise TypeError(f"not an exact scalar: {c!r}")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -365,7 +376,8 @@ class MPoly:
 
     @staticmethod
     def const(c):
-        return MPoly({ZERO_EXP: c})
+        c = _coeff(c)
+        return _as_poly({ZERO_EXP: c} if c else {})
 
     @staticmethod
     def var(name, exp=1):
@@ -383,7 +395,7 @@ class MPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {ZERO_EXP: 1}
+        return len(self.terms) == 1 and self.terms.get(ZERO_EXP) == 1
 
     def is_monomial(self):
         return len(self.terms) == 1
@@ -415,9 +427,10 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other)
-        return _as_poly(_mul(self.terms, other.terms))
+        if type(other) is MPoly:
+            return _as_poly(_mul(self.terms, other.terms))
+        c = _coeff(other)
+        return _as_poly({e: v * c for e, v in self.terms.items()} if c else {})
 
     __rmul__ = __mul__
 
@@ -427,7 +440,7 @@ class MPoly:
                 raise ValueError("negative power of a non-monomial")
             ((e, c),) = self.terms.items()
             return MPoly({tuple(x * n for x in e): Fraction(c) ** n})
-        out = MPoly.const(1)
+        out = _ONE_POLY
         base = self
         while n:
             if n & 1:
@@ -484,6 +497,11 @@ class MPoly:
         return f"MPoly({self.text()})"
 
 
+# the denominator of every RatFunc built without one; shared, since no term
+# dict is changed once it is built
+_ONE_POLY = _as_poly({ZERO_EXP: 1})
+
+
 class RatFunc:
     """Rational function num/den; equality by cross-multiplication.
 
@@ -496,15 +514,14 @@ class RatFunc:
     __slots__ = ("num", "den", "stored")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = MPoly.const(num)
+        self.num = num if type(num) is MPoly else MPoly.const(num)
         if den is None:
-            den = MPoly.const(1)
-        elif isinstance(den, (int, Fraction)):
+            self.den, self.stored = _ONE_POLY, True
+            return
+        if type(den) is not MPoly:
             den = MPoly.const(den)
-        if den.is_zero():
+        if not den.terms:
             raise ZeroDivisionError("rational function with zero denominator")
-        self.num = num
         self.den = den
         self.stored = den.is_one()
 
@@ -526,9 +543,11 @@ class RatFunc:
 
     @staticmethod
     def _coerce(x):
-        if isinstance(x, RatFunc):
+        """x as a RatFunc if it is one, an MPoly or an exact scalar; None
+        otherwise, so that an operator returns NotImplemented."""
+        if type(x) is RatFunc:
             return x
-        if isinstance(x, (int, Fraction, MPoly)):
+        if type(x) is MPoly or isinstance(x, (int, Fraction)):
             return RatFunc(x)
         return None
 
@@ -536,20 +555,33 @@ class RatFunc:
     def sum(terms):
         """The sum of the RatFuncs `terms`, in stored form.
 
-        Zero addends are dropped and marked ones kept as they are.  The
-        unmarked addends that share a denominator have their numerators
-        added, and each such group is reduced once, by `simplified()`.
-        The reduced values are then added left to right by `_add_lowest`,
-        whose gcd is against the gcd of two denominators only.
+        Zero addends are dropped.  The addends over 1 are added in one
+        pass over their terms, with no gcd; a lone one is kept as it is,
+        as are the other marked addends.  The unmarked addends that share
+        a denominator have their numerators added, and each such group is
+        reduced once, by `simplified()`.  The reduced values are then
+        added left to right by `_add_lowest`, whose gcd is against the
+        gcd of two denominators only.
         """
-        terms = [t for t in terms if not t.num.is_zero()]
-        nums = {}
+        ones, marked, nums = [], [], {}
         for t in terms:
-            if not t.stored:
+            if not t.num.terms:
+                continue
+            if t.den.is_one():
+                ones.append(t)
+            elif t.stored:
+                marked.append(t)
+            else:
                 nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
-        terms = [t for t in terms if t.stored] + [
-            RatFunc(n, d).simplified() for d, n in nums.items()
-            if not n.is_zero()]
+        if len(ones) > 1:
+            total = {}
+            for t in ones:
+                for e, c in t.num.terms.items():
+                    total[e] = total.get(e, 0) + c
+            total = {e: c for e, c in total.items() if c}
+            ones = [RatFunc(_as_poly(total))] if total else []
+        terms = ones + marked + [RatFunc(n, d).simplified()
+                                 for d, n in nums.items() if not n.is_zero()]
         return reduce(_add_lowest, terms) if terms else RatFunc(0)
 
     def __add__(self, other):
@@ -778,10 +810,8 @@ def _add_lowest(x, y):
     for b; by Gauss's lemma the same holds for the integer primes of the
     contents.  So t shares with g a b only factors of g, and t is reduced
     against g alone: by an integer gcd when g is a constant, and with no
-    gcd when g is 1.  Two denominators 1 add their numerators.
+    gcd when g is 1.
     """
-    if x.den.is_one() and y.den.is_one():
-        return RatFunc(x.num + y.num)
     (nx, dx), (ny, dy) = _integral_pair(x), _integral_pair(y)
     if dx == dy:
         g, a, b = dx, {ZERO_EXP: 1}, {ZERO_EXP: 1}

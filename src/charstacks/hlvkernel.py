@@ -73,4 +73,4 @@ def hlv_HH(mus, m):
     with Omega_m truncated at the keys that fit mu."""
     mus = pt.check_multipartition(mus)
     paired = hall_pair_h(ple_log(omega(m, len(mus), mus)), mus)
-    return ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()
+    return _mul_lowest(paired, ((Z * Z - ONE) * (ONE - W * W)).num)

@@ -46,7 +46,9 @@ are counts (exact Fractions): Kostka numbers give the s rows and, by
 Young's rule, the h and e rows, and `_part_assignments`, the count that
 `fits` reads, gives the p rows [m_nu] p_lam, and over z_lam the stored
 rows.  Per-degree matrix inversion gives the m -> basis tables; into the
-stored basis they are integers.  Coefficient lookup, the Hall pairing
+stored basis they are integers.  `_table` composes the two and keeps an
+integral entry as an int, so the weights that `_sum_terms` brings to
+their lcm stay on int arithmetic.  Coefficient lookup, the Hall pairing
 against h and the text form read the m view, so the truncation, the p
 rows, the m view and the Hall pairing all read that one count.  The m
 coefficient at a fitting key reads only keys that refine it, which fit
@@ -189,12 +191,13 @@ def m_to_basis_table(basis, n):
 @lru_cache(maxsize=None)
 def _table(src, dst, lam, rows):
     """src_lam expanded in the dst basis through the m basis, on the dst
-    partitions that fit rows."""
+    partitions that fit rows; an integral entry is an int."""
     out = {}
     for nu, a in basis_to_m(src, lam).items():
         for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
             out[mu] = out.get(mu, 0) + a * b
-    return tuple((mu, c) for mu, c in out.items() if c and fits(mu, rows))
+    return tuple((mu, c.numerator if c.denominator == 1 else c)
+                 for mu, c in out.items() if c and fits(mu, rows))
 
 
 def _transform(coeffs, src, dst, bound):

@@ -181,10 +181,52 @@ def test_exact_div_by_int_gives_fraction():
 
 
 def test_float_coefficient_rejected():
-    with pytest.raises(TypeError):
-        MPoly.const(0.5)
-    with pytest.raises(TypeError):
-        MPoly.monomial((1, 0, 0, 0, 0), 2.0)
+    z = MPoly.var("z")
+    for make in (lambda: MPoly.const(0.5),
+                 lambda: MPoly.monomial((1, 0, 0, 0, 0), 2.0),
+                 lambda: RatFunc(0.5), lambda: RatFunc(Z.num, 2.0),
+                 lambda: z * 0.5, lambda: 0.5 * z,
+                 lambda: Z + 0.5, lambda: Z * 0.5):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_exact_scalars_accepted():
+    # ints, bools and Fractions enter every entry point in stored form:
+    # num and den compared term by term, coefficient types included
+    z = MPoly.var("z")
+
+    def form(x):
+        return [sorted((e, type(c), c) for e, c in p.terms.items())
+                for p in (x.num, x.den)] + [x.stored]
+
+    one, z1 = ea.ZERO_EXP, (1, 0, 0, 0, 0)
+    over_one = [(one, int, 1)]
+    cases = [
+        (RatFunc(True), [[(one, int, 1)], over_one, True]),
+        (RatFunc(Fraction(4, 2)), [[(one, int, 2)], over_one, True]),
+        (RatFunc(Fraction(1, 2)),
+         [[(one, Fraction, Fraction(1, 2))], over_one, True]),
+        (RatFunc(z, True), [[(z1, int, 1)], over_one, True]),
+        (RatFunc(z, 2), [[(z1, int, 1)], [(one, int, 2)], False]),
+        (RatFunc(z, Fraction(2, 3)),
+         [[(z1, int, 1)], [(one, Fraction, Fraction(2, 3))], False]),
+        (Z + True, [[(one, int, 1), (z1, int, 1)], over_one, True]),
+        (True + Z, [[(one, int, 1), (z1, int, 1)], over_one, True]),
+        (Z * False, [[], over_one, True]),
+        (Z - Fraction(1, 2),
+         [[(one, Fraction, Fraction(-1, 2)), (z1, int, 1)], over_one, True]),
+        (Z / 3, [[(z1, int, 1)], [(one, int, 3)], False]),
+        (RatFunc(z * True), [[(z1, int, 1)], over_one, True]),
+        (RatFunc(z * 0), [[], over_one, True]),
+        (RatFunc(Fraction(1, 2) * z),
+         [[(z1, Fraction, Fraction(1, 2))], over_one, True]),
+        (RatFunc(z * Fraction(2)), [[(z1, int, 2)], over_one, True]),
+        (RatFunc(MPoly.const(True)), [[(one, int, 1)], over_one, True]),
+        (RatFunc(MPoly.const(0)), [[], over_one, True]),
+    ]
+    for x, expected in cases:
+        assert form(x) == expected, x
 
 
 def _random_rational_mpoly(rng):
@@ -570,6 +612,24 @@ def test_hlv_gcd_budget(monkeypatch, mus, m, budget):
     assert len(calls) <= budget
 
 
+def test_macdonald_layer_makes_no_gcd(monkeypatch):
+    # H~_mu, its Schur expansion and its specialisation have integer
+    # polynomial coefficients over 1, and a sum of addends over 1 adds
+    # their numerators: none of them reaches the gcd
+    from charstacks import macdonald as md
+    from charstacks import partitions as pt
+
+    calls = _top_level_gcds(monkeypatch)
+    for mu in pt.enumerate_partitions(5):
+        md.modified_H(mu)
+        md.schur_coefficients(mu)
+        md.specialized_H(mu)
+    s = RatFunc.sum([Z, -W * W, RatFunc(MPoly.parse("1/2*q^1")), ONE, -Z])
+    assert calls == []
+    assert _stored(s) == (MPoly.parse("1 + 1/2*q^1 + -1*w^2"),
+                          MPoly.const(1))
+
+
 def test_gcd_divisor_larger_than_dividend():
     # g's coefficients exceed f's, so the evaluation point must come from
     # the larger of the two
@@ -667,8 +727,11 @@ def test_add_lowest_matches_sum_randomized():
         else:
             y = _random_lowest(rng, FACTORS)
         for a, b in ((x, y), (y, x), (x, ZERO), (ZERO, x)):
-            assert _stored(ea._add_lowest(a, b)) == \
-                _stored(RatFunc.sum((a, b))), (a, b)
+            # `RatFunc.sum` adds marked values by `_add_lowest` itself, so
+            # both are checked against the rule it replaced
+            expected = _stored(_cross_multiplied((a, b)))
+            assert _stored(ea._add_lowest(a, b)) == expected, (a, b)
+            assert _stored(RatFunc.sum((a, b))) == expected, (a, b)
 
 
 def test_mul_lowest_matches_simplified_randomized():
@@ -704,7 +767,7 @@ def test_add_lowest_denominator_one_with_fractions():
     s = ea._add_lowest(x, y)
     assert _stored(s) == _stored(RatFunc.sum((x, y)))
     assert s == x + y and not s.den.is_one()
-    # two denominators 1 add their numerators, as RatFunc.sum does
+    # two denominators 1 are cleared alike, and the sum is over 1 again
     s = ea._add_lowest(x, -x + RatFunc(MPoly.parse("1/2")))
     assert _stored(s) == (MPoly.parse("1/2"), MPoly.const(1))
 
@@ -803,20 +866,22 @@ def test_add_of_two_marked_values_is_the_grouped_sum_randomized():
     rng = random.Random(59)
     for _ in range(200):
         x = _random_lowest(rng, FACTORS)
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
         if kind == 0:  # an equal denominator
             y = RatFunc(_random_rational_mpoly(rng), x.den).simplified()
         elif kind == 1:  # a zero sum
             y = (-x).simplified()
+        elif kind == 2:  # a sum that cancels factors of the common one
+            y = (_random_lowest(rng, FACTORS) - x).simplified()
         else:
             y = _random_lowest(rng, FACTORS)
         assert x.stored and y.stored
         # the two unmarked halves share a denominator, so they are added
         # and reduced as one group before Henrici's rule adds x
         half = y * Fraction(1, 2)
-        expected = RatFunc.sum((x, half, half))
-        for s in (x + y, y + x):
-            assert s.stored and _stored(s) == _stored(expected), (x, y)
+        expected = _stored(_cross_multiplied((x, y)))
+        for s in (x + y, y + x, RatFunc.sum((x, half, half))):
+            assert s.stored and _stored(s) == expected, (x, y)
 
 
 def test_sum_of_marked_values_matches_cross_multiplied_randomized():

@@ -439,3 +439,18 @@ def test_HH_golden_text(mus, m, digest):
     assert hashlib.sha256(f.text().encode()).hexdigest() == digest
     z, w = POINTS[0]
     assert f.eval({"z": z, "w": w}) == _HH_at(mus, m, z, w)
+
+
+@pytest.mark.parametrize("mus, m", [
+    (((1,),), 2), (((2, 1),), 2), (((2,), (2,)), 2), (((2,), (1, 1)), 4)],
+    ids=["(1)-m2", "(2,1)-m2", "(2)|(2)-m2", "(2)|(1,1)-m4"])
+def test_paired_log_is_marked(mus, m):
+    # hlv_HH multiplies the paired Log by its prefactor with `_mul_lowest`,
+    # which needs a value in stored form: the m view sums every
+    # coefficient, so the pairing is marked, and the product is the
+    # reduced product
+    paired = hall_pair_h(ple_log(omega(m, len(mus), mus)), mus)
+    assert paired.stored
+    expected = ((Z * Z - ONE) * (ONE - W * W) * paired).simplified()
+    got = hlv_HH(mus, m)
+    assert (got.num, got.den) == (expected.num, expected.den)
