@@ -68,17 +68,18 @@ The one hazard is `/` (or a negative power) between two ints, which gives
 a float: every coefficient quotient goes through `Fraction`, and a float
 reaching an entry point raises TypeError.
 
-The entry points dispatch on exact types.  `RatFunc()` and an MPoly
-product take an operand as an MPoly when its type is MPoly and send
-anything else through `_coeff`, which accepts ints, bools and Fractions
-and raises TypeError on the rest; the RatFunc operators coerce only
-those and MPolys, and return NotImplemented on anything else, so a float
-operand raises TypeError there too.  `Fraction` is an abstract base
-class, so `isinstance` on it is slow, and `_coeff` tests the exact type
-first.  No term dict is changed once an MPoly holds it: every operation
-builds a new dict, or shares one it was given.  So every RatFunc built
-without a denominator shares one constant polynomial 1, and a product by
-a scalar scales the coefficients with no constant polynomial built.
+The entry points dispatch on exact types.  `RatFunc()` and an MPoly sum,
+difference or product take an operand as an MPoly when its type is
+MPoly and send anything else through `_coeff`, which accepts ints, bools
+and Fractions and raises TypeError on the rest; the RatFunc operators
+coerce only those and MPolys, and return NotImplemented on anything
+else, so a float operand raises TypeError there too.  `Fraction` is an
+abstract base class, so `isinstance` on it is slow, and `_coeff` tests
+the exact type first.  No term dict is changed once an MPoly holds it:
+every operation builds a new dict, or shares one it was given.  So every
+RatFunc built without a denominator shares one constant polynomial 1,
+and a product by a scalar scales the coefficients with no constant
+polynomial built.
 """
 
 from __future__ import annotations
@@ -411,6 +412,8 @@ class MPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
+        if type(other) is not MPoly:
+            other = MPoly.const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -621,7 +624,10 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return RatFunc._coerce(other) / self
+        other = RatFunc._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         if n < 0:

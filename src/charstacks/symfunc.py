@@ -39,22 +39,22 @@ plethysm never reads a dropped key, and the ring is the quotient by that
 ideal.  Under the bound mu this is truncation at the monomial x^mu in
 len(mu_i) variables per alphabet.
 
-The p, m, h, e and s bases are views, the p basis mathematically the
-diagonal scaling p_lam = z_lam P_lam: `to_basis` and `from_basis` change
-basis alphabet by alphabet through the m basis.  The basis -> m tables
-are counts (exact Fractions): Kostka numbers give the s rows and, by
-Young's rule, the h and e rows, and `_part_assignments`, the count that
-`fits` reads, gives the p rows [m_nu] p_lam, and over z_lam the stored
-rows.  Per-degree matrix inversion gives the m -> basis tables; into the
-stored basis they are integers.  `_table` composes the two and keeps an
-integral entry as an int, so the weights that `_sum_terms` brings to
-their lcm stay on int arithmetic.  Coefficient lookup, the Hall pairing
-against h and the text form read the m view, so the truncation, the p
-rows, the m view and the Hall pairing all read that one count.  The m
-coefficient at a fitting key reads only keys that refine it, which fit
-too, so the m view is exact at every key that fits and holds only those
-keys.  The s, h and e coefficients read keys outside the ideal, so those
-views need a row bound.
+The p, m, h, e and s bases are views, read off the Hall form with no
+matrix inversion.  A basis element is b_lam = sum_nu <b_lam, p_nu> P_nu,
+and `_stored` gives these integer coordinates: z_lam on the diagonal for
+p; for h, `_part_assignments`, the count that `fits` reads; for e, that
+count times omega's sign; for m, a triangular solve; for s, the Kostka
+numbers times the m rows.  A view reads the dual basis b* the other way
+round, [b_mu] P_nu = <b*_mu, p_nu> / z_nu, with m and h dual, s
+self-dual, p dual to P and e dual to omega(m).  `_table` does both and
+keeps an integral entry as an int, so the weights that `_sum_terms`
+brings to their lcm stay on int arithmetic.  Coefficient lookup, the
+Hall pairing against h and the text form read the m view, [m_mu] P_nu =
+[m_mu] p_nu / z_nu, so the truncation, the m view and the Hall pairing
+all read that one count.  The m coefficient at a fitting key reads only
+keys that refine it, which fit too, so the m view is exact at every key
+that fits and holds only those keys.  The s, h and e coefficients read
+keys outside the ideal, so those views need a row bound.
 """
 from __future__ import annotations
 
@@ -130,74 +130,71 @@ def _merge(a, b):
     return union, pt.zlambda(union) // (pt.zlambda(a) * pt.zlambda(b))
 
 
-def basis_to_m(basis, lam):
-    """Expansion of a single-alphabet basis element into the m basis.
-
-    Returns a dict partition -> Fraction for basis in {m, h, e, p, s} and
-    the stored basis STORED.  [m_nu] p_lam counts part assignments,
-    [m_nu] P_lam is that count over z_lam, and [m_nu] s_lam = K_{lam,nu}.
-    Young's rule h_lam = sum_kappa K_{kappa,lam} s_kappa, and its image
-    e_lam = sum_kappa K_{kappa',lam} s_kappa under omega, give the h and e
-    rows (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
-    """
-    lam = tuple(lam)
-    if basis == "m":
-        return {lam: Fraction(1)}
-    parts = pt.enumerate_partitions(sum(lam))
-    if basis in ("p", STORED):
-        z = pt.zlambda(lam) if basis == STORED else 1
-        row = [Fraction(_part_assignments(lam, nu), z) for nu in parts]
-    elif basis == "s":
-        row = [_kostka(lam, nu) for nu in parts]
-    elif basis in ("h", "e"):
-        flip = pt.conjugate if basis == "e" else (lambda kappa: kappa)
-        row = [sum(_kostka(flip(kappa), lam) * _kostka(kappa, nu)
-                   for kappa in parts) for nu in parts]
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    # Fraction, not int: _invert divides by these entries
-    return {nu: Fraction(c) for nu, c in zip(parts, row) if c}
-
-
-def _invert(matrix):
-    """Inverse of a square Fraction matrix (Gauss-Jordan)."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _omega(basis, nu):
+    """For the e basis omega's sign on p_nu, (-1)^(|nu| - len(nu)); else 1."""
+    return -1 if basis == "e" and (sum(nu) - len(nu)) % 2 else 1
 
 
 @lru_cache(maxsize=None)
-def m_to_basis_table(basis, n):
-    """Tables expressing each m_mu of degree n in the given basis."""
-    parts = pt.enumerate_partitions(n)
-    mat = [[basis_to_m(basis, lam).get(mu, Fraction(0)) for mu in parts]
-           for lam in parts]
-    inv = _invert(mat)
-    # m_mu = sum_lam inv[j][i] * basis_lam  where j indexes mu, i indexes lam
-    return {mu: {lam: inv[j][i] for i, lam in enumerate(parts) if inv[j][i]}
-            for j, mu in enumerate(parts)}
+def _stored(basis, lam):
+    """The stored coordinates of a single-alphabet basis element: the dict
+    nu -> <b_lam, p_nu> of nonzero ints, b_lam = sum_nu <b_lam, p_nu> P_nu.
+
+    p_lam is z_lam P_lam; m is dual to h, so <h_lam, p_nu> = [m_lam] p_nu,
+    and e_lam = omega(h_lam).  The rows of m solve the triangular system
+    P_lam = sum_{mu >= lam} [m_mu] P_lam m_mu, whose coarser mu come first
+    in `enumerate_partitions` order, and s_lam = sum_mu K_{lam,mu} m_mu
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.4 and I.6).
+    """
+    parts = pt.enumerate_partitions(sum(lam))
+    if basis in ("p", STORED):
+        return {lam: pt.zlambda(lam) if basis == "p" else 1}
+    if basis in ("h", "e"):
+        row = {nu: _omega(basis, nu) * _part_assignments(nu, lam)
+               for nu in parts}
+    elif basis == "m":
+        # [m_lam] p_lam m_lam = z_lam P_lam - sum_(mu > lam) [m_mu] p_lam m_mu
+        row = _m_sum((mu, -_part_assignments(lam, mu))
+                     for mu in parts[:parts.index(lam)])
+        row[lam] = pt.zlambda(lam)
+        d = _part_assignments(lam, lam)
+        row = {nu: c // d for nu, c in row.items()}
+    elif basis == "s":
+        row = _m_sum((mu, _kostka(lam, mu)) for mu in parts)
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    return {nu: c for nu, c in row.items() if c}
+
+
+def _m_sum(weights):
+    """sum_mu w_mu m_mu in stored coordinates, over pairs (mu, w_mu)."""
+    row = {}
+    for mu, w in weights:
+        if w:
+            for nu, c in _stored("m", mu).items():
+                row[nu] = row.get(nu, 0) + w * c
+    return row
+
+
+# the basis dual to each under the Hall form, e's dual omega(m) read as m
+# times omega's sign; `_stored` refuses a name that is not here
+_DUAL = {"m": "h", "h": "m", "e": "m", "s": "s", "p": STORED, STORED: "p"}
 
 
 @lru_cache(maxsize=None)
 def _table(src, dst, lam, rows):
-    """src_lam expanded in the dst basis through the m basis, on the dst
-    partitions that fit rows; an integral entry is an int."""
-    out = {}
-    for nu, a in basis_to_m(src, lam).items():
-        for mu, b in m_to_basis_table(dst, sum(lam))[nu].items():
-            out[mu] = out.get(mu, 0) + a * b
-    return tuple((mu, c.numerator if c.denominator == 1 else c)
-                 for mu, c in out.items() if c and fits(mu, rows))
+    """src_lam expanded in the dst basis, on the dst partitions that fit
+    rows; an integral entry is an int.  [dst_mu] P_nu = <dst*_mu, p_nu> /
+    z_nu for the basis dst* dual to dst, so both sides read `_stored`."""
+    out = []
+    for mu in pt.enumerate_partitions(sum(lam)):
+        if fits(mu, rows):
+            dual = _stored(_DUAL.get(dst, dst), mu)
+            c = sum(Fraction(a * _omega(dst, nu) * dual[nu], pt.zlambda(nu))
+                    for nu, a in _stored(src, lam).items() if nu in dual)
+            if c:
+                out.append((mu, c.numerator if c.denominator == 1 else c))
+    return tuple(out)
 
 
 def _transform(coeffs, src, dst, bound):

@@ -186,9 +186,14 @@ def test_float_coefficient_rejected():
                  lambda: MPoly.monomial((1, 0, 0, 0, 0), 2.0),
                  lambda: RatFunc(0.5), lambda: RatFunc(Z.num, 2.0),
                  lambda: z * 0.5, lambda: 0.5 * z,
-                 lambda: Z + 0.5, lambda: Z * 0.5):
+                 lambda: z + 0.5, lambda: z - 0.5,
+                 lambda: Z + 0.5, lambda: Z * 0.5,
+                 lambda: 0.5 / Z, lambda: "a" / Z):
         with pytest.raises(TypeError):
             make()
+    z1 = (1, 0, 0, 0, 0)
+    assert z + 1 == MPoly({z1: 1, ea.ZERO_EXP: 1})
+    assert z - Fraction(1, 2) == MPoly({z1: 1, ea.ZERO_EXP: Fraction(-1, 2)})
 
 
 def test_exact_scalars_accepted():

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from charstacks import partitions as pt
-from charstacks.exactalg import RatFunc, ONE, Z, W, Q, T
-from charstacks.symfunc import (STORED, SymFunc, _merge, _mobius,
-                                basis_element, basis_to_m, fits, hall_pair_h,
-                                m_to_basis_table, plethysm_pr, ple_exp,
+from charstacks.exactalg import RatFunc, ONE, ZERO_EXP, Z, W, Q, T
+from charstacks.symfunc import (SymFunc, _kostka, _merge, _mobius,
+                                _part_assignments, _stored, basis_element,
+                                fits, hall_pair_h, plethysm_pr, ple_exp,
                                 ple_log)
 
 
@@ -94,15 +94,22 @@ def _m_row_by_enumeration(basis, lam):
     return {nu: counts[e] for nu, e in padded.items()}
 
 
+def _is_int(c):
+    """Whether the RatFunc c is an integer constant."""
+    p = c.as_mpoly()
+    return p is not None and set(p.terms) <= {ZERO_EXP} and all(
+        type(x) is int for x in p.terms.values())
+
+
 def test_basis_tables_against_enumeration():
     for n in range(1, 6):
         for lam in pt.enumerate_partitions(n):
             for basis in ("p", "h", "e", "s"):
-                table = basis_to_m(basis, lam)
+                table = basis_element(basis, (lam,), 1, n).to_basis("m")
                 want = _m_row_by_enumeration(basis, lam)
-                assert table == {nu: c for nu, c in want.items() if c}, \
-                    (basis, lam)
-                assert all(type(c) is Fraction for c in table.values())
+                assert table == {(nu,): RatFunc(c)
+                                 for nu, c in want.items() if c}, (basis, lam)
+                assert all(map(_is_int, table.values()))
 
 
 def test_m1_times_m1():
@@ -190,16 +197,54 @@ def test_coefficient_matches_m_view_randomized():
 def test_m_to_stored_rows_are_integers():
     # the P_lam coefficient of m_mu is <m_mu, p_lam> = [h_mu] p_lam
     for n in range(9):
-        for row in m_to_basis_table(STORED, n).values():
-            assert all(c.denominator == 1 for c in row.values())
+        for lam in pt.enumerate_partitions(n):
+            f = basis_element("m", (lam,), 1, n)
+            assert all(map(_is_int, f.coeffs.values())), lam
 
 
 def test_stored_rows_are_p_rows_over_z():
     for n in range(1, 7):
         for lam in pt.enumerate_partitions(n):
             z = pt.zlambda(lam)
-            assert basis_to_m(STORED, lam) == {
-                nu: c / z for nu, c in basis_to_m("p", lam).items()}
+            stored = SymFunc(1, n, {(lam,): ONE})
+            assert stored.to_basis("m") == {
+                key: c * Fraction(1, z)
+                for key, c in one_alphabet("p", lam).to_basis("m").items()}
+
+
+def _invert(matrix):
+    """Inverse of a square Fraction matrix (Gauss-Jordan)."""
+    n = len(matrix)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def test_stored_rows_match_inverted_matrices():
+    # the m rows solved by triangularity against the inverse of the matrix
+    # [m_nu] P_lam = R(lam, nu) / z_lam, and the s rows against that
+    # inverse with the Kostka matrix composed in
+    for n in range(9):
+        parts = pt.enumerate_partitions(n)
+        inv = _invert([[Fraction(_part_assignments(lam, nu), pt.zlambda(lam))
+                        for nu in parts] for lam in parts])
+        for i, mu in enumerate(parts):
+            assert _stored("m", mu) == {
+                lam: c for lam, c in zip(parts, inv[i]) if c}, mu
+            s_row = [sum(_kostka(mu, kappa) * inv[j][col]
+                         for j, kappa in enumerate(parts))
+                     for col in range(len(parts))]
+            assert _stored("s", mu) == {
+                lam: c for lam, c in zip(parts, s_row) if c}, mu
 
 
 def test_merge_factor_is_product_of_binomials():
@@ -440,7 +485,7 @@ def test_arithmetic_across_bounds_refused():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: basis_to_m("x", (1,)), "unknown basis 'x'"),
+    (lambda: basis_element("x", ((1,),), 1, 1), "unknown basis 'x'"),
     (lambda: plethysm_pr(0, SymFunc.one(1, 2)), "r must be >= 1"),
     (lambda: ple_log(SymFunc.one(1, 2).scale(2)),
      "ple_log needs constant term exactly 1"),
