@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 from .exactalg import RatFunc, ONE, Q, T, U, u_to_q
 from . import partitions as pt
@@ -36,7 +37,7 @@ class OrbitSpec:
 
     @staticmethod
     def make(pairs):
-        eig = tuple((Fraction(a) % 1, int(m)) for a, m in pairs)
+        eig = tuple((Fraction(a) % 1, index(m)) for a, m in pairs)
         if any(m < 1 for _, m in eig):
             raise ValueError("multiplicities must be >= 1")
         if len({a for a, _ in eig}) != len(eig):

@@ -18,11 +18,11 @@ to be in that form: a value with den 1, and every value that
 substitutions are not marked, and are reduced only where a caller asks
 or where they are summed.
 
-`RatFunc.sum` adds any number of terms by one rule.  It adds the addends
-over 1 in one pass over their terms, with no gcd, keeps the other marked
-addends as they are, adds the numerators of the unmarked ones that share
-a denominator, and reduces each such group once, by a full gcd, since an
-unmarked addend may not be in lowest terms.  It then adds the reduced
+`RatFunc.sum` adds any number of terms by one rule.  It groups the
+nonzero addends by denominator in one pass.  A lone addend is reduced by
+`simplified()`, which keeps a marked one as it is, at no gcd; a larger
+group has its numerators added in one pass over their terms and is
+reduced once, by a full gcd, or by none over 1.  It then adds the reduced
 values left to right by Henrici's rule (Knuth, TAOCP vol. 2, section
 4.5.1, after Henrici 1956), in `_add_lowest`: since both addends are
 reduced, the new numerator is reduced against the gcd of the two
@@ -68,18 +68,18 @@ The one hazard is `/` (or a negative power) between two ints, which gives
 a float: every coefficient quotient goes through `Fraction`, and a float
 reaching an entry point raises TypeError.
 
-The entry points dispatch on exact types.  `RatFunc()` and an MPoly sum,
-difference or product take an operand as an MPoly when its type is
-MPoly and send anything else through `_coeff`, which accepts ints, bools
-and Fractions and raises TypeError on the rest; the RatFunc operators
-coerce only those and MPolys, and return NotImplemented on anything
-else, so a float operand raises TypeError there too.  `Fraction` is an
-abstract base class, so `isinstance` on it is slow, and `_coeff` tests
-the exact type first.  No term dict is changed once an MPoly holds it:
-every operation builds a new dict, or shares one it was given.  So every
-RatFunc built without a denominator shares one constant polynomial 1,
-and a product by a scalar scales the coefficients with no constant
-polynomial built.
+The entry points dispatch on exact types.  `RatFunc()` takes an operand
+as an MPoly when its type is MPoly and sends anything else through
+`_coeff`, which accepts ints, bools and Fractions and raises TypeError on
+the rest.  The MPoly and RatFunc operators take only those and MPolys,
+and return NotImplemented on anything else, so a RatFunc on the right of
+an MPoly gets its reflected operator and a float operand raises
+TypeError.  `Fraction` is an abstract base class, so `isinstance` on it
+is slow, and `_coeff` tests the exact type first.  No term dict is
+changed once an MPoly holds it: every operation builds a new dict, or
+shares one it was given.  So every RatFunc built without a denominator
+shares one constant polynomial 1, and a product by a scalar scales the
+coefficients with no constant polynomial built.
 """
 
 from __future__ import annotations
@@ -413,6 +413,8 @@ class MPoly:
 
     def __add__(self, other):
         if type(other) is not MPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = MPoly.const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -423,15 +425,22 @@ class MPoly:
                 out.pop(e, None)
         return _as_poly(out)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return self * -1
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if type(other) is MPoly:
             return _as_poly(_mul(self.terms, other.terms))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         c = _coeff(other)
         return _as_poly({e: v * c for e, v in self.terms.items()} if c else {})
 
@@ -558,34 +567,29 @@ class RatFunc:
     def sum(terms):
         """The sum of the RatFuncs `terms`, in stored form.
 
-        Zero addends are dropped.  The addends over 1 are added in one
-        pass over their terms, with no gcd; a lone one is kept as it is,
-        as are the other marked addends.  The unmarked addends that share
-        a denominator have their numerators added, and each such group is
-        reduced once, by `simplified()`.  The reduced values are then
-        added left to right by `_add_lowest`, whose gcd is against the
-        gcd of two denominators only.
+        Zero addends are dropped and the rest grouped by denominator.  A
+        group of one is taken as `simplified()` returns it: a marked
+        addend as it is, with no call.  A larger group has its numerators
+        added in one pass over their terms and is reduced once, with no
+        gcd over 1.  The reduced values are then added left to right by
+        `_add_lowest`, whose gcd is against the gcd of two denominators
+        only.
         """
-        ones, marked, nums = [], [], {}
+        groups = {}
         for t in terms:
-            if not t.num.terms:
-                continue
-            if t.den.is_one():
-                ones.append(t)
-            elif t.stored:
-                marked.append(t)
-            else:
-                nums[t.den] = nums[t.den] + t.num if t.den in nums else t.num
-        if len(ones) > 1:
-            total = {}
-            for t in ones:
-                for e, c in t.num.terms.items():
-                    total[e] = total.get(e, 0) + c
-            total = {e: c for e, c in total.items() if c}
-            ones = [RatFunc(_as_poly(total))] if total else []
-        terms = ones + marked + [RatFunc(n, d).simplified()
-                                 for d, n in nums.items() if not n.is_zero()]
-        return reduce(_add_lowest, terms) if terms else RatFunc(0)
+            if t.num.terms:
+                groups.setdefault(t.den, []).append(t)
+        reduced = []
+        for den, (t, *rest) in groups.items():
+            if rest:
+                num = dict(t.num.terms)
+                for r in rest:
+                    for e, c in r.num.terms.items():
+                        num[e] = num.get(e, 0) + c
+                t = RatFunc(_as_poly({e: c for e, c in num.items() if c}), den)
+            if t.num.terms:
+                reduced.append(t if t.stored else t.simplified())
+        return reduce(_add_lowest, reduced) if reduced else RatFunc(0)
 
     def __add__(self, other):
         other = RatFunc._coerce(other)
@@ -599,10 +603,7 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -619,8 +620,6 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -750,7 +749,8 @@ class RatFunc:
 # A value in lowest terms (the stored form `simplified()` gives) lets a sum
 # or a product skip most of its final gcd.  Both primitives return the
 # stored form `simplified()` would give, marked, and neither checks its
-# operands: `RatFunc.sum` sends `_add_lowest` only marked addends.
+# operands: `RatFunc.sum` sends `_add_lowest` only the reduced values of
+# its groups.
 
 
 def _shifted(p):
@@ -816,13 +816,12 @@ def _add_lowest(x, y):
     for b; by Gauss's lemma the same holds for the integer primes of the
     contents.  So t shares with g a b only factors of g, and t is reduced
     against g alone: by an integer gcd when g is a constant, and with no
-    gcd when g is 1.
+    gcd when g is 1.  Equal denominators need no case of their own (g is
+    d_x, a and b are 1), and `RatFunc.sum` adds addends that share one as
+    a group before they reach this rule.
     """
     (nx, dx), (ny, dy) = _integral_pair(x), _integral_pair(y)
-    if dx == dy:
-        g, a, b = dx, {ZERO_EXP: 1}, {ZERO_EXP: 1}
-    else:
-        g, a, b = _heugcd(dx, dy)
+    g, a, b = _heugcd(dx, dy)
     t = _as_poly(_mul(nx, b)) + _as_poly(_mul(ny, a))
     if t.is_zero():
         return RatFunc(0)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import index
 
 
 def check_partition(lam):
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(map(index, lam))
     if any(x < 1 for x in lam):
         raise ValueError(f"partition parts must be >= 1: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

@@ -22,10 +22,10 @@ views.  Every coefficient sum, of a sum, a product, a view or the Log,
 is one `_sum_terms`: it brings the rational weights of each key to their
 lcm, so those weights too enter over integer numerators.  A coefficient
 of weight 1 at a key whose lcm is 1 is summed as it is, and `RatFunc.sum`
-keeps an addend marked stored as it is and adds it by Henrici's rule, so
-a value already in lowest terms is not reduced again; the Exp and Log
-series still start their powers at a, not at the product 1 * a, which
-saves the product.
+groups its addends by denominator and keeps a marked addend that is alone
+over its denominator as it is, so a value already in lowest terms is not
+reduced again; the Exp and Log series still start their powers at a, not
+at the product 1 * a, which saves the product.
 
 Truncation has one rule.  The bound N is one partition beta_i per
 alphabet, and a key is kept iff each lam_i fits beta_i: lam_i, padded
@@ -309,6 +309,8 @@ class SymFunc:
         return all(self.coeffs[key] == other.coeffs[key] for key in self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         self._check_compat(other)
         return SymFunc(self.k, self.N, _sum_terms(
             (key, c, 1) for f in (self, other) for key, c in f.coeffs.items()))
@@ -317,16 +319,18 @@ class SymFunc:
         return self.map_coefficients(lambda c: -c)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(-other)
 
     def scale(self, c):
-        """Multiply by a RatFunc (or int/Fraction) scalar."""
-        c = RatFunc._coerce(c)
+        """Multiply by a RatFunc, an MPoly or an exact scalar (int, bool or
+        Fraction); anything else raises TypeError."""
+        c = c if type(c) is RatFunc else RatFunc(c)
         return self.map_coefficients(lambda v: c * v)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            return self.scale(other)
+        if not isinstance(other, SymFunc):
+            c = RatFunc._coerce(other)
+            return NotImplemented if c is None else self.scale(c)
         self._check_compat(other)
         terms = []
         for k1, c1 in self.coeffs.items():

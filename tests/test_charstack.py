@@ -70,6 +70,14 @@ def test_orbit_type_and_repeated_angles():
         OrbitSpec.make([(0, 1), (1, 1)])
 
 
+def test_non_integer_multiplicity_refused():
+    # a multiplicity is read as an integer, never truncated: 1.9 is not 1
+    for m in (1.9, 2.0, "1"):
+        with pytest.raises(TypeError):
+            OrbitSpec.make([(Fraction(1, 2), m)])
+    assert OrbitSpec.make([(0.5, 2)]).eigenvalues == ((Fraction(1, 2), 2),)
+
+
 def test_series_refusals_come_before_HH(monkeypatch):
     def no_HH(mus, m):
         raise AssertionError("HH computed for a refused input")

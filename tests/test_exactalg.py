@@ -30,6 +30,8 @@ def test_common_denominator():
 def test_div_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         ONE / (Q - Q)
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
 
 
 def test_substitute_expansion():
@@ -187,6 +189,7 @@ def test_float_coefficient_rejected():
                  lambda: RatFunc(0.5), lambda: RatFunc(Z.num, 2.0),
                  lambda: z * 0.5, lambda: 0.5 * z,
                  lambda: z + 0.5, lambda: z - 0.5,
+                 lambda: 0.5 + z, lambda: 0.5 - z,
                  lambda: Z + 0.5, lambda: Z * 0.5,
                  lambda: 0.5 / Z, lambda: "a" / Z):
         with pytest.raises(TypeError):
@@ -194,6 +197,19 @@ def test_float_coefficient_rejected():
     z1 = (1, 0, 0, 0, 0)
     assert z + 1 == MPoly({z1: 1, ea.ZERO_EXP: 1})
     assert z - Fraction(1, 2) == MPoly({z1: 1, ea.ZERO_EXP: Fraction(-1, 2)})
+
+
+def test_mpoly_on_the_left_of_a_ratfunc_or_scalar():
+    # an MPoly operator answers only MPolys and exact scalars, so a RatFunc
+    # on the right gets its reflected operator, and a scalar on the left
+    # gets the MPoly's
+    z = MPoly.var("z")
+    assert _stored(z + Z) == (MPoly.parse("2*z^1"), MPoly.const(1))
+    assert _stored(z * Z) == (MPoly.parse("1*z^2"), MPoly.const(1))
+    assert type(z + Z) is RatFunc and type(z * Z) is RatFunc
+    assert (z - Z).is_zero() and type(z - Z) is RatFunc
+    assert 1 + z == z + 1 == MPoly.parse("1 + 1*z^1")
+    assert 1 - z == -(z - 1) == MPoly.parse("1 + -1*z^1")
 
 
 def test_exact_scalars_accepted():
@@ -606,10 +622,11 @@ def test_hlv_gcds_proved_by_the_bound(monkeypatch):
     # the smallest input with a sum of unreduced addends over two
     # denominators, each reduced by a gcd of its own
     (((2,), (2,)), 3, 28),
-], ids=["(2,1)|(2,1)-m4", "(2)|(1,1)-m4", "(3)-m2", "(2)|(2)-m3"])
+    (((3, 1),), 4, 101),
+], ids=["(2,1)|(2,1)-m4", "(2)|(1,1)-m4", "(3)-m2", "(2)|(2)-m3", "(3,1)-m4"])
 def test_hlv_gcd_budget(monkeypatch, mus, m, budget):
     # the gcd work of HH, counted rather than timed: top-level `_heugcd`
-    # calls as of the one sum pipeline of `RatFunc.sum`
+    # calls as of the one grouping rule of `RatFunc.sum`
     from charstacks.hlvkernel import hlv_HH
 
     calls = _top_level_gcds(monkeypatch)
@@ -619,8 +636,8 @@ def test_hlv_gcd_budget(monkeypatch, mus, m, budget):
 
 def test_macdonald_layer_makes_no_gcd(monkeypatch):
     # H~_mu, its Schur expansion and its specialisation have integer
-    # polynomial coefficients over 1, and a sum of addends over 1 adds
-    # their numerators: none of them reaches the gcd
+    # polynomial coefficients over 1, and a sum groups addends over 1 and
+    # adds their numerators: none of them reaches the gcd
     from charstacks import macdonald as md
     from charstacks import partitions as pt
 
@@ -732,8 +749,9 @@ def test_add_lowest_matches_sum_randomized():
         else:
             y = _random_lowest(rng, FACTORS)
         for a, b in ((x, y), (y, x), (x, ZERO), (ZERO, x)):
-            # `RatFunc.sum` adds marked values by `_add_lowest` itself, so
-            # both are checked against the rule it replaced
+            # `RatFunc.sum` adds marked values over two denominators by
+            # `_add_lowest` itself and groups those over one, so both are
+            # checked against the rule they replaced
             expected = _stored(_cross_multiplied((a, b)))
             assert _stored(ea._add_lowest(a, b)) == expected, (a, b)
             assert _stored(RatFunc.sum((a, b))) == expected, (a, b)
@@ -808,8 +826,8 @@ def test_mul_lowest_one_gcd_of_the_factor(monkeypatch):
 
 # -- the stored mark -------------------------------------------------------------
 # `simplified()` returns a value marked stored as it is, and `RatFunc.sum`
-# adds such values without a full gcd, so the mark must sit only on values
-# in stored form.
+# takes a marked value alone over its denominator into Henrici's rule with
+# no full gcd, so the mark must sit only on values in stored form.
 
 def _is_own_reduction(x):
     """Whether x is in stored form: num and den equal those of the
@@ -865,6 +883,9 @@ def test_sum_of_one_marked_addend_is_itself():
     assert x + ZERO is x and ZERO + x is x
     one = RatFunc(MPoly.parse("1/3*z^1"))
     assert RatFunc.sum([one]) is one
+    # a group that cancels is dropped, so x is the one value left
+    y = (ONE / (Z - W)).simplified()
+    assert RatFunc.sum([y, x, -y]) is x
 
 
 def test_add_of_two_marked_values_is_the_grouped_sum_randomized():
@@ -882,7 +903,8 @@ def test_add_of_two_marked_values_is_the_grouped_sum_randomized():
             y = _random_lowest(rng, FACTORS)
         assert x.stored and y.stored
         # the two unmarked halves share a denominator, so they are added
-        # and reduced as one group before Henrici's rule adds x
+        # and reduced as one group, which x joins when it shares that
+        # denominator, before Henrici's rule adds the rest
         half = y * Fraction(1, 2)
         expected = _stored(_cross_multiplied((x, y)))
         for s in (x + y, y + x, RatFunc.sum((x, half, half))):
@@ -890,9 +912,10 @@ def test_add_of_two_marked_values_is_the_grouped_sum_randomized():
 
 
 def test_sum_of_marked_values_matches_cross_multiplied_randomized():
-    # marked addends reach `_add_lowest` alone, so the rule it replaced is
-    # their oracle: on denominators that share factors, and on sums whose
-    # last addend cancels some of them
+    # marked addends over one denominator are added as one group, and the
+    # groups by `_add_lowest`, so the rule both replaced is their oracle:
+    # on denominators that share factors, and on sums whose last addend
+    # cancels some of them
     rng = random.Random(61)
     for _ in range(150):
         terms = [_random_lowest(rng, FACTORS)
@@ -903,3 +926,16 @@ def test_sum_of_marked_values_matches_cross_multiplied_randomized():
         for order in itertools.permutations(terms):
             got = RatFunc.sum(order)
             assert got.stored and _stored(got) == _stored(expected), order
+
+
+def test_marked_addends_over_one_denominator_make_one_gcd(monkeypatch):
+    # three marked addends over (z - 1)(z + w) are one group: their
+    # numerators add to z + w, and the one gcd of the sum cancels it
+    den = (Z - ONE) * (Z + W)
+    terms = [(n / den).simplified() for n in (Z + 2, W - ONE, -ONE)]
+    assert all(t.stored and t.den == terms[0].den for t in terms)
+    calls = _top_level_gcds(monkeypatch)
+    s = RatFunc.sum(terms)
+    assert len(calls) == 1
+    assert s.stored and _stored(s) == _stored(_cross_multiplied(terms))
+    assert _stored(s) == (MPoly.const(1), MPoly.parse("-1 + 1*z^1"))

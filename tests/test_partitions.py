@@ -88,6 +88,19 @@ def test_multipartition_refuses_empty_components():
             pt.check_multipartition(empty)
 
 
+def test_non_integer_parts_refused():
+    # parts are read as integers, never truncated: (2.5,) is not (2,)
+    from charstacks.hlvkernel import hlv_HH
+
+    for call in (lambda: pt.check_partition((2.7, 1)),
+                 lambda: pt.check_partition(("2",)),
+                 lambda: pt.check_multipartition(((2.0,), (1, 1))),
+                 lambda: hlv_HH(((2.5,),), 2)):
+        with pytest.raises(TypeError):
+            call()
+    assert pt.check_partition([3, True]) == (3, 1)
+
+
 def test_text_roundtrip():
     for lam in ((3, 1), (), (1, 1, 1)):
         assert pt.parse_partition(pt.partition_text(lam)) == lam

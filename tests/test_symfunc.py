@@ -484,6 +484,20 @@ def test_arithmetic_across_bounds_refused():
                 op(g, f)
 
 
+def test_inexact_operands_refused():
+    # the operators answer only SymFuncs and exact scalars, so Python
+    # raises TypeError for anything else
+    f = basis_element("m", ((1,),), 1, 2)
+    for call in (lambda: f + 1, lambda: 1 + f, lambda: f - 1,
+                 lambda: f * 0.5, lambda: 0.5 * f, lambda: f * "a"):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+        f.scale(0.5)
+    assert f * 2 == 2 * f == f.scale(2) == f + f
+    assert f * Z == Z * f == f * Z.num == Z.num * f == f.scale(Z)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: basis_element("x", ((1,),), 1, 1), "unknown basis 'x'"),
     (lambda: plethysm_pr(0, SymFunc.one(1, 2)), "r must be >= 1"),
