@@ -816,9 +816,9 @@ def _add_lowest(x, y):
     for b; by Gauss's lemma the same holds for the integer primes of the
     contents.  So t shares with g a b only factors of g, and t is reduced
     against g alone: by an integer gcd when g is a constant, and with no
-    gcd when g is 1.  Equal denominators need no case of their own (g is
-    d_x, a and b are 1), and `RatFunc.sum` adds addends that share one as
-    a group before they reach this rule.
+    gcd when g is 1.  Equal denominators take the same path (g is d_x, a
+    and b are 1): `RatFunc.sum` adds addends that share one as a group,
+    so only a running sum meets one here.
     """
     (nx, dx), (ny, dy) = _integral_pair(x), _integral_pair(y)
     g, a, b = _heugcd(dx, dy)

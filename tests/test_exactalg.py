@@ -191,6 +191,7 @@ def test_float_coefficient_rejected():
                  lambda: z + 0.5, lambda: z - 0.5,
                  lambda: 0.5 + z, lambda: 0.5 - z,
                  lambda: Z + 0.5, lambda: Z * 0.5,
+                 lambda: Z - 0.5, lambda: 0.5 - Z,
                  lambda: 0.5 / Z, lambda: "a" / Z):
         with pytest.raises(TypeError):
             make()
