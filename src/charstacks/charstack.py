@@ -30,6 +30,13 @@ from .hlvkernel import hlv_HH
 
 # -- orbit and surface data ---------------------------------------------------
 
+def _angle(a):
+    """a mod 1, for a an int or a Fraction; TypeError otherwise."""
+    if not isinstance(a, (int, Fraction)):
+        raise TypeError(f"an angle is an int or a Fraction: {a!r}")
+    return Fraction(a) % 1
+
+
 @dataclass(frozen=True)
 class OrbitSpec:
     """Semisimple orbit: eigenvalues e^(2*pi*i*angle) with multiplicities."""
@@ -37,7 +44,9 @@ class OrbitSpec:
 
     @staticmethod
     def make(pairs):
-        eig = tuple((Fraction(a) % 1, index(m)) for a, m in pairs)
+        """An angle is an int or a Fraction, never a float: a float would
+        enter as its binary value, a different orbit from the one meant."""
+        eig = tuple((_angle(a), index(m)) for a, m in pairs)
         if any(m < 1 for _, m in eig):
             raise ValueError("multiplicities must be >= 1")
         if len({a for a, _ in eig}) != len(eig):

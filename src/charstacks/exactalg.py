@@ -89,7 +89,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 VARS = ("z", "w", "q", "t", "u")
 NVARS = len(VARS)
@@ -109,6 +109,15 @@ def _coeff(c):
         if not isinstance(c, Fraction):
             raise TypeError(f"not an exact scalar: {c!r}")
     return c.numerator if c.denominator == 1 else c
+
+
+def _exponent(k):
+    """An exponent as an int, read through `operator.index`, so a float or
+    a Fraction raises TypeError naming it."""
+    try:
+        return index(k)
+    except TypeError:
+        raise TypeError(f"not an integer exponent: {k!r}") from None
 
 
 # -- polynomials as term dicts: products and the gcd ---------------------------
@@ -383,12 +392,12 @@ class MPoly:
     @staticmethod
     def var(name, exp=1):
         e = [0] * NVARS
-        e[VAR_INDEX[name]] = exp
+        e[VAR_INDEX[name]] = _exponent(exp)
         return MPoly({tuple(e): 1})
 
     @staticmethod
     def monomial(exps, coeff=1):
-        return MPoly({tuple(exps): coeff})
+        return MPoly({tuple(map(_exponent, exps)): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -447,6 +456,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        n = _exponent(n)
         if n < 0:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial")
@@ -816,12 +826,13 @@ def _add_lowest(x, y):
     for b; by Gauss's lemma the same holds for the integer primes of the
     contents.  So t shares with g a b only factors of g, and t is reduced
     against g alone: by an integer gcd when g is a constant, and with no
-    gcd when g is 1.  Equal denominators take the same path (g is d_x, a
-    and b are 1): `RatFunc.sum` adds addends that share one as a group,
-    so only a running sum meets one here.
+    gcd when g is 1.  Equal denominators give g = d_x and a = b = 1 with
+    no gcd: `RatFunc.sum` adds addends that share one as a group, so only
+    a running sum meets one here.
     """
     (nx, dx), (ny, dy) = _integral_pair(x), _integral_pair(y)
-    g, a, b = _heugcd(dx, dy)
+    one = _ONE_POLY.terms
+    g, a, b = (dx, one, one) if dx == dy else _heugcd(dx, dy)
     t = _as_poly(_mul(nx, b)) + _as_poly(_mul(ny, a))
     if t.is_zero():
         return RatFunc(0)

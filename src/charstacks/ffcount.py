@@ -12,12 +12,14 @@ E-series formulas evaluated at q.
 An orbit carries its field: a count reads n and q off its orbits,
 refuses orbits that disagree, and compares with no formula (the CLI does).
 
-Matrices are tuples of tuples of residues.  The solution count is
-assembled by convolving exact distributions over GL_n: the number of D
-with D*theta(D) = g, of pairs with commutator g, and the indicator of
-each orbit's members.  Each is a class function, so it is stored as one
-value per conjugacy class, keyed by (tr a, ..., tr a^(n-1), det a) and the
-minimal polynomial's degree, which determine the class for n <= 3, q odd.
+Matrices are tuples of tuples of residues; products, determinants and
+inverses are written out for each n <= 3, and so is the class key at
+n = 2.  The solution count is assembled by convolving exact
+distributions over GL_n: the number of D with D*theta(D) = g, of pairs
+with commutator g, and the indicator of each orbit's members.  Each is a
+class function, so it is stored as one value per conjugacy class, keyed
+by (tr a, ..., tr a^(n-1), det a) and the minimal polynomial's degree,
+which determine the class for n <= 3, q odd.
 
 The class table, each element's key, costs one pass over GL_n, and so does
 the table of D theta(D); the commutator table costs one pass per class it
@@ -32,9 +34,9 @@ K^-1 that f reads: one class for a central orbit.  A count holds each
 element with its class key, and one inverse per class.  This reproduces
 the raw tuple count exactly and stays brute force: no character table or
 formula value enters.  n = 2 runs for every q <= 13: at q = 13 a count
-with one central orbit takes 0.5-0.8 s for r <= 3 or g = 1, and 3 s for
-g = 2 (one core of an Intel Xeon, Python 3.11).  n = 3 runs only for
-q = 3.
+with one central orbit takes 0.05-0.1 s for r <= 3 or g = 1, and 0.3 s
+for g = 2 (in process, one core of an Intel Xeon, Python 3.11).  n = 3
+runs only for q = 3.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul
 
 from . import charstack as cs
 
@@ -74,13 +75,27 @@ def identity(n):
 
 
 def mat_mul(a, b, q):
-    # a loop over the rows, not a nested comprehension: 1.6x faster on
-    # 2 x 2 matrices
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        out.append(tuple([sum(map(mul, row, col)) % q for col in cols]))
-    return tuple(out)
+    n = len(a)
+    if n == 2:
+        (a0, a1), (a2, a3) = a
+        (b0, b1), (b2, b3) = b
+        return (((a0 * b0 + a1 * b2) % q, (a0 * b1 + a1 * b3) % q),
+                ((a2 * b0 + a3 * b2) % q, (a2 * b1 + a3 * b3) % q))
+    if n == 3:
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+        return (((a0 * b0 + a1 * b3 + a2 * b6) % q,
+                 (a0 * b1 + a1 * b4 + a2 * b7) % q,
+                 (a0 * b2 + a1 * b5 + a2 * b8) % q),
+                ((a3 * b0 + a4 * b3 + a5 * b6) % q,
+                 (a3 * b1 + a4 * b4 + a5 * b7) % q,
+                 (a3 * b2 + a4 * b5 + a5 * b8) % q),
+                ((a6 * b0 + a7 * b3 + a8 * b6) % q,
+                 (a6 * b1 + a7 * b4 + a8 * b7) % q,
+                 (a6 * b2 + a7 * b5 + a8 * b8) % q))
+    if n == 1:
+        return ((a[0][0] * b[0][0] % q,),)
+    raise ValueError("n <= 3 only")
 
 
 def transpose(a):
@@ -148,8 +163,7 @@ def enumerate_gl(n, q):
     """All invertible n x n matrices, row-major entry order, singular skipped."""
     check_group(n, q)
     _check_memory(n, q)
-    for entries in product(range(q), repeat=n * n):
-        m = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+    for m in product(list(product(range(q), repeat=n)), repeat=n):
         if det(m, q) != 0:
             yield m
 
@@ -237,9 +251,14 @@ def _class_key(a, q):
     p[0][0] I is taken off each power p, I is the only one with a nonzero
     (0, 0) entry, so the degree is 1 plus the rank of at most two vectors:
     0 for a scalar; otherwise 1, plus 1 when n = 3 and a^2 - (a^2)[0][0] I
-    is not proportional to a - a[0][0] I.
+    is not proportional to a - a[0][0] I.  For n = 2 that is the closed form
+    ((tr a, det a), 1 if a is scalar else 2), on entries reduced mod q.
     """
     n = len(a)
+    if n == 2:
+        (a0, a1), (a2, a3) = a
+        return (((a0 + a3) % q, (a0 * a3 - a1 * a2) % q),
+                1 if a0 == a3 and not a1 and not a2 else 2)
     powers = [a]
     while len(powers) < n - 1:
         powers.append(mat_mul(powers[-1], a, q))

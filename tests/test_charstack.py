@@ -75,7 +75,14 @@ def test_non_integer_multiplicity_refused():
     for m in (1.9, 2.0, "1"):
         with pytest.raises(TypeError):
             OrbitSpec.make([(Fraction(1, 2), m)])
-    assert OrbitSpec.make([(0.5, 2)]).eigenvalues == ((Fraction(1, 2), 2),)
+    # nor is a float angle taken as its binary fraction: 0.1 is not 1/10
+    for a in (0.1, 0.5, "1/2"):
+        with pytest.raises(TypeError, match="an angle is an int or a Fraction"):
+            OrbitSpec.make([(a, 1), (0, 1)])
+    assert OrbitSpec.make([(Fraction(1, 2), 2)]).eigenvalues == \
+        ((Fraction(1, 2), 2),)
+    assert OrbitSpec.make([(3, 1), (Fraction(-1, 2), 1)]).eigenvalues == \
+        ((0, 1), (Fraction(1, 2), 1))
 
 
 def test_series_refusals_come_before_HH(monkeypatch):

@@ -192,9 +192,17 @@ def test_float_coefficient_rejected():
                  lambda: 0.5 + z, lambda: 0.5 - z,
                  lambda: Z + 0.5, lambda: Z * 0.5,
                  lambda: Z - 0.5, lambda: 0.5 - Z,
-                 lambda: 0.5 / Z, lambda: "a" / Z):
+                 lambda: 0.5 / Z, lambda: "a" / Z,
+                 lambda: MPoly.var("z", 1.5),
+                 lambda: MPoly.monomial((1.0, 0, 0, 0, 0)),
+                 lambda: z ** Fraction(2)):
         with pytest.raises(TypeError):
             make()
+    # an exponent is read through operator.index; the error names it
+    for power in (lambda: z ** 0.5, lambda: Z ** 0.5):
+        with pytest.raises(TypeError, match="not an integer exponent: 0.5"):
+            power()
+    assert MPoly.var("z", True) == z and z ** True == z
     z1 = (1, 0, 0, 0, 0)
     assert z + 1 == MPoly({z1: 1, ea.ZERO_EXP: 1})
     assert z - Fraction(1, 2) == MPoly({z1: 1, ea.ZERO_EXP: Fraction(-1, 2)})
@@ -803,6 +811,25 @@ def test_add_lowest_coprime_denominators_one_gcd(monkeypatch):
     s = ea._add_lowest(x, y)
     assert len(calls) == 1  # of the denominators only
     assert _stored(s) == _stored(RatFunc.sum((x, y)))
+
+
+def test_fold_meeting_equal_denominators_makes_no_evaluation(monkeypatch):
+    # the running sum 1/(z - 1) + 1/(z + 1) = 2z/(z^2 - 1) meets the third
+    # addend's denominator; the numerators cancel, so that step takes no gcd
+    x, y = (ONE / (Z - ONE)).simplified(), (ONE / (Z + ONE)).simplified()
+    s = RatFunc.sum((x, y))
+    neg = (-s).simplified()
+    widths = _heugcd_widths(monkeypatch)
+    RatFunc.sum((x, y))
+    first = len(widths)
+    assert first and RatFunc.sum((x, y, neg)).num.is_zero()
+    assert len(widths) == 2 * first
+    # with no cancellation the one gcd is of the new numerator against d
+    w = (ONE / (Z * Z - ONE)).simplified()
+    calls = _top_level_gcds(monkeypatch)
+    t = ea._add_lowest(s, w)
+    assert calls == [(MPoly.parse("1 + 2*z^1").terms, s.den.terms)]
+    assert _stored(t) == _stored(_cross_multiplied((x, y, w)))
 
 
 def test_add_lowest_reduces_against_the_common_factor(monkeypatch):

@@ -20,6 +20,12 @@ def test_gl_order():
 def test_enumerate_gl_counts():
     assert sum(1 for _ in fc.enumerate_gl(1, 5)) == 4
     assert sum(1 for _ in fc.enumerate_gl(2, 3)) == 48
+    # the invertible matrices, in row-major order of their entries
+    for n, q in [(2, 5), (3, 3)]:
+        want = [m for m in (tuple(e[i * n:(i + 1) * n] for i in range(n))
+                            for e in itertools.product(range(q), repeat=n * n))
+                if _cofactor_det(m, q)]
+        assert list(fc.enumerate_gl(n, q)) == want
 
 
 def test_enumerate_gl_guard():
@@ -162,7 +168,7 @@ def _generators(n, q):
 
 
 @pytest.mark.parametrize("n, q", [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5),
-                                  (2, 7)])
+                                  (2, 7), (2, 11), (2, 13)])
 def test_class_keys_are_conjugacy_classes(n, q):
     # closed under conjugation by generators: each key's elements form a
     # union of classes; as many keys as GL_n(F_q) has classes (q - 1,
@@ -261,7 +267,8 @@ def _cofactor_det(a, q):
                for j in range(len(a))) % q
 
 
-@pytest.mark.parametrize("n, q", [(1, 5), (2, 3), (2, 5), (3, 3), (3, 5)])
+@pytest.mark.parametrize("n, q", [(1, 5), (2, 3), (2, 5), (2, 13), (3, 3),
+                                  (3, 5), (3, 7)])
 def test_matrix_kernels_match_definitions(n, q):
     # on random matrices, singular ones among them: det by cofactors,
     # mat_inv as the adjugate over the determinant, mat_mul by a triple loop
