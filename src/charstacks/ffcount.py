@@ -21,11 +21,13 @@ class function, so it is stored as one value per conjugacy class, keyed
 by (tr a, ..., tr a^(n-1), det a) and the minimal polynomial's degree,
 which determine the class for n <= 3, q odd.
 
-The class table, each element's key, costs one pass over GL_n, and so does
-the table of D theta(D); the commutator table costs one pass per class it
-is evaluated on.  A convolution is evaluated on one representative per
+The class table, each element's key, costs one pass over GL_n, and so do
+the table of D theta(D) and a split orbit's members, the elements with
+its class key.  A convolution is evaluated on one representative per
 class, summing over the elements of one factor's support: at most |GL|
-products per class instead of |GL|^2 in all.  The raw count is the
+products per class instead of |GL|^2 in all.  The commutator table is a
+sum of convolutions, |C(K)| (1_K * 1_K^-1) over the classes K, so it too
+costs |GL| products per class it is evaluated on.  The raw count is the
 product's value at the identity, so the last factor f is only paired
 there with the product d of the others: raw = sum over classes K of
 |K| f(K) d(K^-1).  So all factors but the last two are convolved on every
@@ -45,6 +47,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
+from operator import index
 
 from . import charstack as cs
 
@@ -180,14 +183,14 @@ class FqOrbit:
 
     @staticmethod
     def central(zeta, n, q):
-        zeta %= q
+        zeta, n = index(zeta) % q, index(n)
         if zeta == 0:
             raise ValueError("zeta must be invertible")
         return FqOrbit(n=n, eigenvalues=((zeta, n),), q=q)
 
     @staticmethod
     def split(eigs, q):
-        eigs = tuple((v % q, m) for v, m in eigs)
+        eigs = tuple((index(v) % q, index(m)) for v, m in eigs)
         vals = [v for v, _ in eigs]
         if 0 in vals or len(set(vals)) != len(vals):
             raise ValueError("eigenvalues must be distinct and nonzero")
@@ -206,14 +209,13 @@ class FqOrbit:
                      for i in range(self.n))
 
     def members(self):
-        """The full conjugacy class (materialized; central is a singleton)."""
+        """The full conjugacy class (materialized; central is a singleton):
+        the elements of GL_n whose class key is the representative's."""
         rep, q = self.representative(), self.q
         if self.is_central():
             return {rep}
-        out = set()
-        for g in enumerate_gl(self.n, q):
-            out.add(mat_mul(mat_mul(g, rep, q), mat_inv(g, q), q))
-        return out
+        key = _class_key(rep, q)
+        return {a for a in enumerate_gl(self.n, q) if _class_key(a, q) == key}
 
     def as_angles(self):
         """The same orbit as an OrbitSpec: g^k maps to the angle k/(q-1),
@@ -345,19 +347,13 @@ def _dtheta(cls, q, at):
 def _commutators(cls, q, at):
     """N(c) = #{(a, b) : a b a^-1 b^-1 = c} on the classes `at`.  For each a,
     b a^-1 b^-1 runs over the class of a^-1, taking each value for |C(a)|
-    of the b.  So, writing b for a^-1, N(c) is the sum of |C(b)| =
-    |GL| / |class of b| over the b with bc conjugate to b: |GL| products
-    per class in `at` of determinant 1, the only ones a commutator has."""
+    of the b.  So N is the sum over classes K of |C(K)| (1_K * 1_K^-1):
+    one convolution per class, |GL| products per class in `at` in all."""
     out = {}
-    for k in at:
-        if _det(k) != 1:
-            continue
-        c = cls.members[k][0]
-        total = sum(cls.order // len(members)
-                    * sum(cls.key[mat_mul(b, c, q)] == kb for b in members)
-                    for kb, members in cls.members.items())
-        if total:
-            out[k] = total
+    for k, members in cls.members.items():
+        pairs = cls.convolve({k: 1}, {cls.inverse[k]: 1}, q, at)
+        for c, v in pairs.items():
+            out[c] = out.get(c, 0) + cls.order // len(members) * v
     return out
 
 

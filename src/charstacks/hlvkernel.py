@@ -33,8 +33,7 @@ def hook_H(m, lam):
     """
     lam = pt.check_partition(lam)
     out = ONE
-    for s in pt.cells(lam):
-        a, l = pt.arm(lam, s), pt.leg(lam, s)
+    for _, a, l in pt.hooks(lam):
         num = (Z ** (2 * a + 1) - W ** (2 * l + 1)) ** m
         den = (Z ** (2 * a + 2) - W ** (2 * l)) * (Z ** (2 * a) - W ** (2 * l + 2))
         out = out * (num / den)

@@ -59,16 +59,16 @@ def _hhl_diagram(mu):
     """The attacking pairs (earlier, later) and the descent checks
     (upper, lower, leg + 1, arm) of mu, as indices into the reading order.
 
-    Cells are partitions.cells pairs (i, j) with row i = 1 the longest, so
+    Cells are partitions.hooks pairs (i, j) with row i = 1 the longest, so
     in the French diagram row i + 1 lies just above row i.
     """
-    order = sorted(pt.cells(mu), key=lambda s: (-s[0], s[1]))
+    leg1_arm = {s: (l + 1, a) for s, a, l in pt.hooks(mu)}
+    order = sorted(leg1_arm, key=lambda s: (-s[0], s[1]))
     index = {s: k for k, s in enumerate(order)}
     attacks = [(index[u], index[v]) for u in order for v in order
                if index[u] < index[v]
                and (u[0] == v[0] or (u[0] == v[0] + 1 and u[1] > v[1]))]
-    descents = [(index[u], index[(u[0] - 1, u[1])],
-                 pt.leg(mu, u) + 1, pt.arm(mu, u))
+    descents = [(index[u], index[(u[0] - 1, u[1])], *leg1_arm[u])
                 for u in order if u[0] > 1]
     return attacks, descents
 
@@ -111,8 +111,8 @@ def macdonald_P(mu):
     """
     mu = pt.check_partition(mu)
     jscale = ONE
-    for s in pt.cells(mu):
-        jscale = jscale * (ONE - Q ** pt.arm(mu, s) * T ** (pt.leg(mu, s) + 1))
+    for _, a, l in pt.hooks(mu):
+        jscale = jscale * (ONE - Q ** a * T ** (l + 1))
     tn = T ** pt.nstat(mu)
     coeffs = {}
     for (rho,), c in modified_H(mu).coeffs.items():

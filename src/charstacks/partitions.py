@@ -4,7 +4,7 @@ Partitions are plain tuples of weakly decreasing positive integers (the
 empty tuple is the empty partition).  Diagrams use the English convention:
 row 1 is the longest, rows go downward; the arm of a cell counts cells
 strictly to its right, the leg cells strictly below.  Cells are 1-based
-(i, j) pairs.
+(i, j) pairs, and `hooks` lists each with its arm and leg.
 """
 
 from __future__ import annotations
@@ -44,28 +44,13 @@ def enumerate_partitions(n):
     return tuple(out)
 
 
-def cells(lam):
-    for i, part in enumerate(lam, start=1):
-        for j in range(1, part + 1):
-            yield (i, j)
-
-
-def _check_cell(lam, cell):
-    i, j = cell
-    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-        raise ValueError(f"cell {cell} outside diagram of {lam}")
-
-
-def arm(lam, cell):
-    _check_cell(lam, cell)
-    i, j = cell
-    return lam[i - 1] - j
-
-
-def leg(lam, cell):
-    _check_cell(lam, cell)
-    i, j = cell
-    return conjugate(lam)[j - 1] - i
+def hooks(lam):
+    """(cell, arm, leg) for every cell of lam, row by row: the cell (i, j)
+    has arm lam_i - j and leg lam'_j - i."""
+    conj = conjugate(lam)
+    return [((i, j), part - j, conj[j - 1] - i)
+            for i, part in enumerate(lam, start=1)
+            for j in range(1, part + 1)]
 
 
 def conjugate(lam):

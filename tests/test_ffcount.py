@@ -423,13 +423,26 @@ def _commutator_distribution(n, q):
     return dist
 
 
+@functools.lru_cache(maxsize=None)
+def _gl_with_inverses(n, q):
+    return [(g, mat_inv(g, q)) for g in enumerate_gl(n, q)]
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugation_orbit(orbit):
+    """The orbit by its definition: g rep g^-1 for every g in GL_n."""
+    rep, q = orbit.representative(), orbit.q
+    return frozenset(mat_mul(mat_mul(g, rep, q), ginv, q)
+                     for g, ginv in _gl_with_inverses(orbit.n, q))
+
+
 def _finish_with_orbits(dist, orbits, q):
     """Fold in the orbit constraints; the last orbit is solved for rather
     than enumerated (its member is determined by the other factors)."""
     for orbit in orbits[:-1]:
-        ind = {m: 1 for m in orbit.members()}
+        ind = {m: 1 for m in _conjugation_orbit(orbit)}
         dist = _convolve(dist, ind, q)
-    last = orbits[-1].members()
+    last = _conjugation_orbit(orbits[-1])
     raw = 0
     for m, c in dist.items():
         if mat_inv(m, q) in last:
@@ -488,13 +501,61 @@ def test_class_counts_match_element_oracle():
     assert cases == 216
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: fc.FqOrbit.split([(0, 1), (2, 1)], 5),
+def _split_orbits(n, q):
+    """Every split orbit of GL_n(F_q): distinct eigenvalues, in increasing
+    order, with every composition of n into at least two multiplicities."""
+    for k in range(2, n + 1):
+        for mults in itertools.product(range(1, n), repeat=k):
+            if sum(mults) != n:
+                continue
+            for vals in itertools.combinations(range(1, q), k):
+                yield fc.FqOrbit.split(list(zip(vals, mults)), q)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 5), (2, 7), (2, 11), (2, 13),
+                                  (3, 3)])
+def test_members_match_conjugation(n, q):
+    # members() takes the elements with the representative's class key;
+    # the orbit's definition conjugates the representative by all of GL_n
+    orbits = list(_split_orbits(n, q))
+    assert len(orbits) == {2: (q - 1) * (q - 2) // 2, 3: 2}[n]
+    for orbit in orbits:
+        assert orbit.members() == _conjugation_orbit(orbit), orbit
+
+
+@pytest.mark.parametrize("n, q", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_commutators_match_element_oracle(n, q):
+    # on every class, not only those an orbit reads: the class function's
+    # value is the element oracle's count summed over the class, divided
+    # by the class size
+    classes = fc._Classes.of(n, q)
+    dist = _base_distribution("orientable", n, q)
+    want = {}
+    for k, members in classes.members.items():
+        total = sum(dist.get(a, 0) for a in members)
+        if total:
+            assert total % len(members) == 0
+            want[k] = total // len(members)
+    assert fc._commutators(classes, q, classes.members) == want
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fc.FqOrbit.split([(0, 1), (2, 1)], 5), ValueError,
      "eigenvalues must be distinct and nonzero"),
-    (lambda: fc.FqOrbit.split([(2, 1), (7, 1)], 5),
+    (lambda: fc.FqOrbit.split([(2, 1), (7, 1)], 5), ValueError,
      "eigenvalues must be distinct and nonzero"),
-    (lambda: fc.FqOrbit.central(2, 2, 9).as_angles(), "q must be prime: 9"),
-], ids=["split-zero", "split-repeated", "angles-q9"])
-def test_refusals(call, message):
-    with pytest.raises(ValueError, match=message):
+    (lambda: fc.FqOrbit.central(2, 2, 9).as_angles(), ValueError,
+     "q must be prime: 9"),
+    # a float would be stored as it is, and a count would then fail on it
+    # or count the wrong class: -1.0 % 5 == 4.0
+    (lambda: fc.FqOrbit.central(2.5, 2, 5), TypeError, "integer"),
+    (lambda: fc.FqOrbit.central(-1.0, 2, 5), TypeError, "integer"),
+    (lambda: fc.FqOrbit.central(-1, 2.0, 5), TypeError, "integer"),
+    (lambda: fc.FqOrbit.split([(2.0, 1), (3, 1)], 5), TypeError, "integer"),
+    (lambda: fc.FqOrbit.split([(2, 1.5), (3, 1)], 5), TypeError, "integer"),
+], ids=["split-zero", "split-repeated", "angles-q9", "central-zeta-2.5",
+        "central-zeta-neg1.0", "central-n-2.0", "split-eigenvalue-2.0",
+        "split-multiplicity-1.5"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
         call()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from charstacks import partitions as pt
-from charstacks.exactalg import RatFunc, ONE, Z, W
+from charstacks.exactalg import RatFunc, ONE, VAR_INDEX, Z, W
 from charstacks.hlvkernel import hook_H, omega, hlv_HH
 from charstacks.macdonald import modified_H, specialized_H
 from charstacks.symfunc import (SymFunc, _mobius, _sum_terms, fits,
@@ -26,6 +26,35 @@ def test_hook_row_two():
     num = ((Z - W) * (Z ** 3 - W)) ** 2
     den = (Z * Z - ONE) * (ONE - W * W) * (Z ** 4 - ONE) * (Z * Z - W * W)
     assert hook_H(2, (2,)) == num / den
+
+
+def _arms_legs(lam):
+    """(arm, leg) of each cell (i, j) from their definitions, lam_i - j and
+    lam'_j - i with lam'_j = #{k : lam_k >= j}; independent of pt.hooks."""
+    return [(part - j, sum(p >= j for p in lam) - i)
+            for i, part in enumerate(lam, start=1)
+            for j in range(1, part + 1)]
+
+
+def _degree(f, var):
+    """deg num - deg den of f in var, the degree at var = infinity."""
+    i = VAR_INDEX[var]
+    return (max(e[i] for e in f.num.terms)
+            - max(e[i] for e in f.den.terms))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_hook_degree_formula(m):
+    # each cell adds m(2a+1) - (2a+2) - 2a to the z-degree, and likewise
+    # with 2l+1 to the w-degree; a valuation, so cancellation keeps it
+    for n in range(7):
+        for lam in pt.enumerate_partitions(n):
+            f = hook_H(m, lam).simplified()
+            arms_legs = _arms_legs(lam)
+            assert _degree(f, "z") == (m - 2) * sum(2 * a + 1
+                                                    for a, _ in arms_legs)
+            assert _degree(f, "w") == (m - 2) * sum(2 * l + 1
+                                                    for _, l in arms_legs)
 
 
 def test_omega_degree_one():
@@ -76,8 +105,7 @@ POINTS = [(Fraction(3, 2), Fraction(5, 7)), (Fraction(2), Fraction(1, 3))]
 
 def _hook_at(m, lam, z, w):
     out = Fraction(1)
-    for s in pt.cells(lam):
-        a, l = pt.arm(lam, s), pt.leg(lam, s)
+    for a, l in _arms_legs(lam):
         out *= ((z ** (2 * a + 1) - w ** (2 * l + 1)) ** m
                 / ((z ** (2 * a + 2) - w ** (2 * l))
                    * (z ** (2 * a) - w ** (2 * l + 2))))

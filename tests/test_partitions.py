@@ -29,14 +29,15 @@ def test_enumerate_matches_recursive_count():
 
 
 def test_arm_leg():
-    assert pt.arm((1,), (1, 1)) == 0 and pt.leg((1,), (1, 1)) == 0
-    assert pt.arm((2,), (1, 1)) == 1 and pt.leg((2,), (1, 1)) == 0
-    assert pt.arm((2, 1), (1, 1)) == 1 and pt.leg((2, 1), (1, 1)) == 1
-
-
-def test_cell_outside_rejected():
-    with pytest.raises(ValueError):
-        pt.arm((2, 1), (1, 3))
+    # (cell, arm, leg), row by row
+    assert pt.hooks(()) == []
+    assert pt.hooks((1,)) == [((1, 1), 0, 0)]
+    assert pt.hooks((2,)) == [((1, 1), 1, 0), ((1, 2), 0, 0)]
+    assert pt.hooks((2, 1)) == [((1, 1), 1, 1), ((1, 2), 0, 0),
+                                ((2, 1), 0, 0)]
+    assert pt.hooks((3, 1, 1)) == [((1, 1), 2, 2), ((1, 2), 1, 0),
+                                   ((1, 3), 0, 0), ((2, 1), 0, 1),
+                                   ((3, 1), 0, 0)]
 
 
 def test_conjugate():
@@ -69,8 +70,7 @@ def _count_syt(lam):
 def test_hook_length_formula():
     for n in range(1, 7):
         for lam in pt.enumerate_partitions(n):
-            hooks = [pt.arm(lam, s) + pt.leg(lam, s) + 1
-                     for s in pt.cells(lam)]
+            hooks = [a + l + 1 for _, a, l in pt.hooks(lam)]
             assert _count_syt(lam) == math.factorial(n) // math.prod(hooks)
 
 
