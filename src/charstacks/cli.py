@@ -58,7 +58,9 @@ def _emit(fmt, record, text, latex):
 
 def _latex(f):
     """LaTeX form of f, which must already be reduced: every caller passes
-    the output of hlv_HH or u_to_q."""
+    the output of hlv_HH or u_to_q.  num and den are integer polynomials,
+    so every coefficient prints as an int, and rational content shows as
+    a constant den, as in \\frac{q + 2q^{2}}{2}."""
 
     def poly(p):
         if p.is_zero():
@@ -69,11 +71,7 @@ def _latex(f):
             body = "".join(
                 f"{VARS[i]}^{{{x}}}" if x != 1 else VARS[i]
                 for i, x in enumerate(e) if x)
-            if c.denominator == 1:
-                coef = str(c.numerator)
-            else:
-                sign = "-" if c < 0 else ""
-                coef = f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+            coef = str(c)
             if body and coef == "1":
                 coef = ""
             elif body and coef == "-1":

@@ -1,22 +1,23 @@
-"""Exact Laurent-polynomial and rational-function arithmetic over Q.
+"""Exact rational functions over Q: quotients of Laurent polynomials over Z.
 
 Everything downstream computes with values in the fraction field of the
-Laurent polynomial ring Q[z^+-1, w^+-1, q^+-1, t^+-1, u^+-1].  The variable
-set is fixed and ordered; u plays the role of sqrt(q), so q = u**2 wherever
-both occur and no fractional exponents are ever needed.
+Laurent polynomial ring Z[z^+-1, w^+-1, q^+-1, t^+-1, u^+-1], which is
+Q(z, w, q, t, u).  The variable set is fixed and ordered; u plays the role
+of sqrt(q), so q = u**2 wherever both occur and no fractional exponents
+are ever needed.
 
-Rational functions are stored as num/den pairs of Laurent polynomials.
-Equality is decided by cross-multiplication; stored forms are NOT canonical.
-Every sum is returned in lowest terms, since unreduced sums swell
-multiplicatively.  A reduced value has one stored form: num and den have
-integer coefficients with coprime contents, den has min exponents 0 and a
-positive leading coefficient in lex order on (z, w, q, t, u), and a
-monomial den is folded into num, so the order of a sum's terms does not
-change its stored form.  A RatFunc marks itself `stored` when it is known
-to be in that form: a value with den 1, and every value that
-`simplified()` or a sum returns.  Products, quotients, negations and
-substitutions are not marked, and are reduced only where a caller asks
-or where they are summed.
+Rational functions are stored as num/den pairs of Laurent polynomials
+over Z.  Equality is decided by cross-multiplication; stored forms are
+NOT canonical.  Every sum is returned in lowest terms, since unreduced
+sums swell multiplicatively.  A reduced value has one stored form, by one
+rule: num and den share no factor, their contents included, and den has
+min exponents 0 and a positive leading coefficient in lex order on
+(z, w, q, t, u).  So a den c*x^e leaves x^e in num and keeps c, and the
+order of a sum's terms does not change its stored form.  A RatFunc marks
+itself `stored` when it is known to be in that form: a value with den 1,
+a lone scalar n/d, and every value that `simplified()` or a sum returns.
+Products, quotients, negations and substitutions are not marked, and are
+reduced only where a caller asks or where they are summed.
 
 `RatFunc.sum` adds any number of terms by one rule.  It groups the
 nonzero addends by denominator in one pass.  A lone addend is reduced by
@@ -39,8 +40,9 @@ powers of two and reads the gcd and both cofactors from their images.
 By the theorem the candidate is the gcd once the gcd times each cofactor
 gives back the input; a bound on their coefficients proves that without
 forming the products, which are formed only where the bound fails, and a
-constant candidate needs no proof.  There is no polynomial long
-division: the quotient by a non-monomial is read from the reduced
+constant candidate needs no proof.  Where a reduction or a sum meets a
+constant, `_gcd` takes the integer gcd of the contents instead.  There is
+no polynomial long division: a quotient is read from the reduced
 fraction.
 
 A product by a single term c*x^e, the most common kind, adds e to each
@@ -50,36 +52,36 @@ int 1 it is a copy.  Large products run on Kronecker substitution
 by encoding them as integers?", 2004/2010): a polynomial is shifted to
 its exponent box, laid out in mixed radix, and packed into one int with a
 balanced digit of 8k bits per position.  A product is one int product,
-with k from the exact bound 2*|f|*|g|*min(#f, #g) < 2**(8k); a rational
-operand has its denominators cleared by one lcm first.  Small or sparse
-products keep the schoolbook loop, by a size rule on term counts and box
-size.  All three give the same term dicts.
+with k from the exact bound 2*|f|*|g|*min(#f, #g) < 2**(8k).  Small or
+sparse products keep the schoolbook loop, by a size rule on term counts
+and box size.  All three give the same term dicts.
 
-A coefficient is a plain `int` when it is integral and a
-`fractions.Fraction` only when it is not.  The entry points (`MPoly()`,
-`const`, `var`, `monomial`, `parse`, `exact_div`) normalise
-to that form, and int + int and int * int stay int, so the series path
-runs on Python ints: `symfunc` stores the basis p_lam / z_lam, in which
-H~_mu and Omega have integer coefficients.  A Fraction enters only with
-rational data, the 1/j and mu(r)/r weights of the plethystic Log and the
-rows of the basis views.  Arithmetic on a Fraction keeps a
-Fraction, which may be integral until the next entry point normalises it.
-The one hazard is `/` (or a negative power) between two ints, which gives
-a float: every coefficient quotient goes through `Fraction`, and a float
-reaching an entry point raises TypeError.
+Every coefficient is a Python int.  The series computed here have integer
+coefficients, and `symfunc` stores the basis p_lam / z_lam, in which H~_mu
+and Omega have them too.  The MPoly entry points (`MPoly()`, `const`,
+`monomial`, `parse` and the operators) read a coefficient through
+`_coeff`, which takes an int, a bool or an integral Fraction and raises
+TypeError naming anything else, so no MPoly holds a Fraction or a float.
+A rational scalar enters only a RatFunc, through its constructor, an
+operator or a binding of `substitute`, and becomes an int numerator over
+a positive int denominator: so do the 1/j and mu(r)/r weights of the
+plethystic Log and the rows of the basis views.  `substitute` raises a
+rational binding to its powers in `Fraction` and clears the images of num
+and den by `_integral`; `eval` divides in `Fraction`.  So no int is
+divided by `/`, which would give a float.
 
 The entry points dispatch on exact types.  `RatFunc()` takes an operand
-as an MPoly when its type is MPoly and sends anything else through
-`_coeff`, which accepts ints, bools and Fractions and raises TypeError on
+as an MPoly when its type is MPoly and reads anything else through
+`_ratio`, which accepts ints, bools and Fractions and raises TypeError on
 the rest.  The MPoly and RatFunc operators take only those and MPolys,
 and return NotImplemented on anything else, so a RatFunc on the right of
 an MPoly gets its reflected operator and a float operand raises
 TypeError.  `Fraction` is an abstract base class, so `isinstance` on it
-is slow, and `_coeff` tests the exact type first.  No term dict is
-changed once an MPoly holds it: every operation builds a new dict, or
-shares one it was given.  So every RatFunc built without a denominator
-shares one constant polynomial 1, and a product by a scalar scales the
-coefficients with no constant polynomial built.
+is slow, and `_coeff` and `_ratio` test the exact type int first.  No
+term dict is changed once an MPoly holds it: every operation builds a new
+dict, or shares one it was given.  So every RatFunc built without a
+denominator shares one constant polynomial 1, and a product by a scalar
+scales the coefficients with no constant polynomial built.
 """
 
 from __future__ import annotations
@@ -97,18 +99,27 @@ VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 ZERO_EXP = (0,) * NVARS
 
 
+def _ratio(c):
+    """An exact scalar (an int, a bool or a Fraction) as ints (n, d) in
+    lowest terms with d > 0; TypeError naming anything else.  The exact
+    type int is tested first: Fraction is an abstract base class, so
+    isinstance on it is slow."""
+    if type(c) is int:
+        return c, 1
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"not an exact scalar: {c!r}")
+    return c.numerator, c.denominator
+
+
 def _coeff(c):
-    """An exact scalar in stored form: int if integral, else Fraction.
-    The exact types are tested first: Fraction is an abstract base class,
-    so isinstance on it is slow."""
+    """A coefficient as an int: an int, a bool or an integral Fraction;
+    TypeError naming anything else."""
     if type(c) is int:
         return c
-    if type(c) is not Fraction:
-        if isinstance(c, int):  # a bool
-            return int(c)
-        if not isinstance(c, Fraction):
-            raise TypeError(f"not an exact scalar: {c!r}")
-    return c.numerator if c.denominator == 1 else c
+    n, d = _ratio(c)
+    if d != 1:
+        raise TypeError(f"not an integer coefficient: {c!r}")
+    return n
 
 
 def _exponent(k):
@@ -227,22 +238,15 @@ def _kron_mul(f, g, bf, bg):
     """f*g by Kronecker substitution, for term dicts with exponent bounds
     bf and bg: both operands are packed into one int, with room in each
     digit for every coefficient of the product, and the ints are
-    multiplied.  A rational operand has its denominators cleared first,
-    and the product is divided by them once."""
-    df, f = _integral(f)
-    dg, g = _integral(g)
+    multiplied."""
     (lf, hf), (lg, hg) = bf, bg
     lo = tuple(map(add, lf, lg))
     spans = tuple(map(lambda a, b, c: a + b - c + 1, hf, hg, lo))
     strides, size = _layout(spans)
     k = _width(max(map(abs, f.values())) * max(map(abs, g.values()))
                * min(len(f), len(g)))
-    out = _unpack(_pack(f, lf, hf, strides, k) * _pack(g, lg, hg, strides, k),
-                  lo, spans, size, k)
-    d = df * dg
-    if d != 1:
-        out = {e: _coeff(Fraction(c, d)) for e, c in out.items()}
-    return out
+    return _unpack(_pack(f, lf, hf, strides, k) * _pack(g, lg, hg, strides, k),
+                   lo, spans, size, k)
 
 
 # When packing pays: below this size, or in a box much larger than the
@@ -259,7 +263,7 @@ def _mul(f, g):
         ((e0, c0),) = g.items()
         if e0 != ZERO_EXP:
             return {tuple(map(add, e, e0)): c * c0 for e, c in f.items()}
-        if c0 == 1 and type(c0) is int:  # keeps each coefficient's type
+        if c0 == 1:
             return dict(f)
         return {e: c * c0 for e, c in f.items()}
     pairs = len(f) * len(g)
@@ -355,9 +359,22 @@ def _heugcd(f, g):
     raise ArithmeticError("heuristic gcd failed")
 
 
+def _gcd(f, g):
+    """`_heugcd(f, g)` for term dicts with nonnegative exponents, but an
+    integer gcd when f or g is a constant: its gcd with a polynomial is
+    its gcd with the polynomial's content."""
+    if ZERO_EXP in f and len(f) == 1 or ZERO_EXP in g and len(g) == 1:
+        c = gcd(*f.values(), *g.values())
+        if c == 1:
+            return _ONE_POLY.terms, f, g
+        return ({ZERO_EXP: c}, {e: v // c for e, v in f.items()},
+                {e: v // c for e, v in g.items()})
+    return _heugcd(f, g)
+
+
 def _integral(p):
-    """(m, m * p) for a term dict p, with m the least common denominator
-    of the coefficients."""
+    """(m, m * p) for a term dict p with Fraction or int coefficients, m
+    the least common denominator of the coefficients; m * p has ints."""
     if all(type(c) is int for c in p.values()):
         return 1, p
     m = lcm(*(c.denominator for c in p.values()))
@@ -372,8 +389,8 @@ def _as_poly(terms):
 
 
 class MPoly:
-    """Sparse Laurent polynomial: map exponent vector -> nonzero coefficient
-    (an int, or a Fraction when not integral)."""
+    """Sparse Laurent polynomial over Z: map exponent vector -> nonzero int
+    coefficient."""
 
     __slots__ = ("terms",)
 
@@ -458,10 +475,11 @@ class MPoly:
     def __pow__(self, n):
         n = _exponent(n)
         if n < 0:
-            if not self.is_monomial():
-                raise ValueError("negative power of a non-monomial")
+            # only the units +-x^e of the ring have an inverse in it
+            if not (self.is_monomial() and abs(*self.terms.values()) == 1):
+                raise ValueError("negative power of a non-unit")
             ((e, c),) = self.terms.items()
-            return MPoly({tuple(x * n for x in e): Fraction(c) ** n})
+            return _as_poly({tuple(x * n for x in e): c ** -n})
         out = _ONE_POLY
         base = self
         while n:
@@ -474,16 +492,6 @@ class MPoly:
     def scale_exponents(self, r):
         """Substitute every variable v by v**r (exponent dilation)."""
         return MPoly({tuple(x * r for x in e): c for e, c in self.terms.items()})
-
-    # -- division ----------------------------------------------------------
-
-    def exact_div(self, other):
-        """Exact quotient self/other as a Laurent polynomial, or None."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if other.is_monomial():
-            return MPoly((self * other ** -1).terms)
-        return RatFunc(self, other).as_mpoly()
 
     # -- text form ----------------------------------------------------------
 
@@ -536,16 +544,21 @@ class RatFunc:
     __slots__ = ("num", "den", "stored")
 
     def __init__(self, num, den=None):
-        self.num = num if type(num) is MPoly else MPoly.const(num)
+        stored = den is None  # a lone scalar n/d is in lowest terms, d > 0
+        if type(num) is not MPoly:
+            n, d = _ratio(num)
+            num = MPoly.const(n)
+            if d != 1:
+                den = d if den is None else den * d
         if den is None:
-            self.den, self.stored = _ONE_POLY, True
-            return
-        if type(den) is not MPoly:
-            den = MPoly.const(den)
+            den = _ONE_POLY
+        elif type(den) is not MPoly:
+            n, d = _ratio(den)
+            num, den = num * d, MPoly.const(n)
         if not den.terms:
             raise ZeroDivisionError("rational function with zero denominator")
-        self.den = den
-        self.stored = den.is_one()
+        self.num, self.den = num, den
+        self.stored = stored or den.is_one()
 
     # -- predicates ----------------------------------------------------------
 
@@ -653,8 +666,10 @@ class RatFunc:
         A binding is an int, a Fraction, or a RatFunc whose num and den are
         single terms; any other binding raises TypeError.  Each term of num
         and den is mapped to one term, so no sum is re-expanded; c goes
-        through Fraction, so a negative power of it is never a float.
-        Variables absent from `bindings` are left unchanged.  Raises
+        through Fraction, so a negative power of it is never a float.  The
+        images of num and den are cleared of their denominators by
+        `_integral`, and each one's lcm multiplies the other.  Variables
+        absent from `bindings` are left unchanged.  Raises
         ZeroDivisionError if the denominator vanishes after substitution.
         """
         bound = []
@@ -682,12 +697,13 @@ class RatFunc:
                             c = c * bc ** x
                 key = tuple(img)
                 out[key] = out.get(key, 0) + c
-            return MPoly(out)
+            m, out = _integral({e: c for e, c in out.items() if c})
+            return m, _as_poly(out)
 
-        den = image(self.den)
+        (mn, num), (md, den) = image(self.num), image(self.den)
         if den.is_zero():
             raise ZeroDivisionError("denominator vanishes under substitution")
-        return RatFunc(image(self.num), den)
+        return RatFunc(num * md, den * mn)
 
     def eval(self, point):
         """The value as a Fraction: `substitute` with constant bindings.
@@ -711,26 +727,18 @@ class RatFunc:
         """num/den in stored form; semantics unchanged.
 
         A stored value is returned as it is; any other is reduced by one
-        gcd and put in stored form by `_lowest`: unless den is 1 or a
-        monomial (folded into num), num and den are integral with coprime
-        contents, den has min exponents 0, and its leading coefficient in
-        lex order is positive.
+        gcd and put in stored form by `_lowest`: num and den share no
+        factor, contents included, den has min exponents 0, and its
+        leading coefficient in lex order is positive.
         """
         if self.stored:
             return self
         if self.num.is_zero():
             return RatFunc(0)
-        if self.den.is_monomial():
-            return _lowest(self.num.terms, self.den.terms)
         # monomials are units: shift to honest polynomials first
         (sn, f), (sd, g) = _shifted(self.num.terms), _shifted(self.den.terms)
-        (mn, f), (md, g) = _integral(f), _integral(g)
-        _, f, g = _heugcd(f, g)
-        # num/den = (f * md) / (g * mn); mn shares no factor with the
-        # content of f, nor md with that of g
-        c = gcd(mn, md)
-        return _lowest(_mul(f, {tuple(map(sub, sn, sd)): md // c}),
-                       _mul(g, {ZERO_EXP: mn // c}))
+        _, f, g = _gcd(f, g)
+        return _lowest(_unshifted(tuple(map(sub, sn, sd)), f), g)
 
     def as_mpoly(self):
         """The underlying Laurent polynomial, or None if genuinely rational."""
@@ -779,34 +787,21 @@ def _unshifted(s, p):
 
 def _lowest(num, den):
     """The stored form of num/den, marked stored, for term dicts num and
-    den: integer ones that share no factor, contents included, with den
-    of min exponents 0, or any num over a monomial den."""
+    den that share no factor, contents included, with den of min
+    exponents 0: the one rule left is the sign of den's leading term."""
     if den[max(den)] < 0:
         num = {e: -c for e, c in num.items()}
         den = {e: -c for e, c in den.items()}
-    num, den = _as_poly(num), _as_poly(den)
-    if den.is_monomial():
-        return RatFunc(num.exact_div(den))
-    out = RatFunc(num, den)
+    out = RatFunc(_as_poly(num), _as_poly(den))
     out.stored = True
     return out
 
 
-def _integral_pair(x):
-    """x as integer term dicts (num, den): a denominator 1 becomes the
-    least common denominator m of num's coefficients, which shares no
-    factor with the content of m * num."""
-    if x.den.is_one():
-        m, num = _integral(x.num.terms)
-        return num, {ZERO_EXP: m}
-    return x.num.terms, x.den.terms
-
 
 def _mul_lowest(x, p):
-    """x * p in stored form, for x in stored form and p an MPoly with int
-    coefficients.  With x = n/d, n shares no factor with d, so the only
-    factor of n*p and d to cancel is gcd(p, d): one gcd of p against d,
-    not of n*p against d."""
+    """x * p in stored form, for x in stored form and p an MPoly.  With
+    x = n/d, n shares no factor with d, so the only factor of n*p and d to
+    cancel is gcd(p, d): one gcd of p against d, not of n*p against d."""
     if x.num.is_zero() or p.is_zero():
         return RatFunc(0)
     if x.den.is_one():
@@ -830,20 +825,15 @@ def _add_lowest(x, y):
     no gcd: `RatFunc.sum` adds addends that share one as a group, so only
     a running sum meets one here.
     """
-    (nx, dx), (ny, dy) = _integral_pair(x), _integral_pair(y)
+    dx, dy = x.den.terms, y.den.terms
     one = _ONE_POLY.terms
-    g, a, b = (dx, one, one) if dx == dy else _heugcd(dx, dy)
-    t = _as_poly(_mul(nx, b)) + _as_poly(_mul(ny, a))
+    g, a, b = (dx, one, one) if dx == dy else _gcd(dx, dy)
+    t = _as_poly(_mul(x.num.terms, b)) + _as_poly(_mul(y.num.terms, a))
     if t.is_zero():
         return RatFunc(0)
     s, t = _shifted(t.terms)
-    if len(g) == 1:  # a constant
-        c = gcd(g[ZERO_EXP], *t.values())
-        h, t, g = ({ZERO_EXP: c}, {e: v // c for e, v in t.items()},
-                   {ZERO_EXP: g[ZERO_EXP] // c})
-    else:
-        h, t, g = _heugcd(t, g)
-    den = _mul(dx, b) if h == {ZERO_EXP: 1} else _mul(_mul(g, a), b)
+    h, t, g = _gcd(t, g)
+    den = _mul(dx, b) if h == one else _mul(_mul(g, a), b)
     return _lowest(_unshifted(s, t), den)
 
 

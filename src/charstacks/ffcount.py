@@ -61,7 +61,9 @@ class EnumerationTooLarge(ValueError):
 
 
 def check_group(n, q):
-    """Refuse q other than an odd prime <= MAX_PRIME, and n outside 1..3."""
+    """Refuse q other than an odd prime <= MAX_PRIME, and n outside 1..3.
+    Both are read through `operator.index`, so a float raises TypeError."""
+    n, q = index(n), index(q)
     if q <= 2 or q > MAX_PRIME:
         raise ValueError(f"q must be an odd prime <= {MAX_PRIME}: {q}")
     if any(q % p == 0 for p in (2, 3, 5, 7, 11) if p < q):
@@ -183,6 +185,7 @@ class FqOrbit:
 
     @staticmethod
     def central(zeta, n, q):
+        check_group(n, q)
         zeta, n = index(zeta) % q, index(n)
         if zeta == 0:
             raise ValueError("zeta must be invertible")
@@ -196,7 +199,9 @@ class FqOrbit:
             raise ValueError("eigenvalues must be distinct and nonzero")
         if any(m < 1 for _, m in eigs):
             raise ValueError("multiplicities must be >= 1")
-        return FqOrbit(n=sum(m for _, m in eigs), eigenvalues=eigs, q=q)
+        n = sum(m for _, m in eigs)
+        check_group(n, q)
+        return FqOrbit(n=n, eigenvalues=eigs, q=q)
 
     def is_central(self):
         return len(self.eigenvalues) == 1 and self.eigenvalues[0][1] == self.n

@@ -170,15 +170,18 @@ def test_half_integer_powers_reported():
     assert not rep.half_integer_powers
 
 
+# the values 1/2 q + q^2, 1 + 1/2 q, -1/2 q + q^2 and 1 - 1/2 q: rational
+# content is a constant denominator, and a negative coefficient shows as a
+# minus sign, in front or between terms
 @pytest.mark.parametrize("text, latex", [
     ("0", "0"),
-    ("1/2*q^1 + 1*q^2", "\\frac{1}{2}q + q^{2}"),
-    ("1 + 1/2*q^1", "1 + \\frac{1}{2}q"),
-    ("-1/2*q^1 + 1*q^2", "-\\frac{1}{2}q + q^{2}"),
-    ("1 + -1/2*q^1", "1 - \\frac{1}{2}q"),
+    ("(1*q^1 + 2*q^2) / (2)", "\\frac{q + 2q^{2}}{2}"),
+    ("(2 + 1*q^1) / (2)", "\\frac{2 + q}{2}"),
+    ("(-1*q^1 + 2*q^2) / (2)", "\\frac{-q + 2q^{2}}{2}"),
+    ("(2 + -1*q^1) / (2)", "\\frac{2 - q}{2}"),
 ])
 def test_latex_sign_outside_fraction(text, latex):
-    assert cli._latex(RatFunc.parse(text)) == latex
+    assert cli._latex(RatFunc.parse(text).simplified()) == latex
 
 
 def test_report_json_schema():

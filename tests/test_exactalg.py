@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from charstacks import exactalg as ea
 from charstacks.exactalg import (MPoly, RatFunc, u_to_q, ONE, ZERO, Z, W, Q,
-                                T, U)
+                                T, U, VARS)
 
 
 def rf(s):
@@ -153,10 +154,16 @@ def test_text_roundtrip():
     assert RatFunc.parse("0").is_zero()
 
 
-def _stored_form(p):
-    """Every coefficient is an int, or a Fraction that is not integral."""
-    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in p.terms.values())
+def _integer(p):
+    """Every coefficient of the MPoly p is an int."""
+    return all(type(c) is int for c in p.terms.values())
+
+
+def _over_z(terms):
+    """(m * p, m) for a term dict p of Fraction coefficients: the MPoly of
+    m * p, with m the least common denominator of its coefficients."""
+    m = math.lcm(*(c.denominator for c in terms.values()))
+    return MPoly({e: c * m for e, c in terms.items()}), m
 
 
 def test_integral_coefficients_stored_as_int():
@@ -167,19 +174,25 @@ def test_integral_coefficients_stored_as_int():
     red = f.simplified()
     assert red == f and red.den.is_one()
     cases = [MPoly.const(Fraction(4, 2)), MPoly.parse("2/2*z^1"),
-             (z * 2).exact_div(MPoly.const(2)), red.num, red.den]
+             RatFunc(z * 2, MPoly.const(2)).as_mpoly(), red.num, red.den]
     for p in cases:
-        assert p.terms and all(type(c) is int for c in p.terms.values()), p
+        assert p.terms and _integer(p), p
 
 
-def test_exact_div_by_int_gives_fraction():
-    half = MPoly.var("z").exact_div(MPoly.const(2))
-    assert half.terms == {(1, 0, 0, 0, 0): Fraction(1, 2)}
-    assert type(half.terms[(1, 0, 0, 0, 0)]) is Fraction
-    # long division: (z^2 - 1) / (2z - 2) = (z + 1) / 2
-    q = (Z * Z - ONE).num.exact_div((2 * Z - 2).num)
-    assert q == MPoly.parse("1/2 + 1/2*z^1") and _stored_form(q)
-    assert (2 * MPoly.var("z")) ** -2 == MPoly.parse("1/4*z^-2")
+def test_division_by_int_keeps_an_integer_denominator():
+    half = RatFunc(MPoly.var("z"), MPoly.const(2)).simplified()
+    assert _stored(half) == (MPoly.var("z"), MPoly.const(2))
+    assert half.as_mpoly() is None
+    # (z^2 - 1) / (2z - 2) = (z + 1) / 2
+    q = ((Z * Z - ONE) / (2 * Z - 2)).simplified()
+    assert _stored(q) == (MPoly.parse("1 + 1*z^1"), MPoly.const(2))
+    # a den c x^e leaves x^e in num and keeps c
+    quarter = ((2 * Z) ** -2).simplified()
+    assert _stored(quarter) == (MPoly.parse("1*z^-2"), MPoly.const(4))
+    # only a unit +-x^e of the ring has a negative power in it
+    assert (-MPoly.var("z")) ** -3 == MPoly.parse("-1*z^-3")
+    with pytest.raises(ValueError, match="non-unit"):
+        (2 * MPoly.var("z")) ** -2
 
 
 def test_float_coefficient_rejected():
@@ -205,7 +218,9 @@ def test_float_coefficient_rejected():
     assert MPoly.var("z", True) == z and z ** True == z
     z1 = (1, 0, 0, 0, 0)
     assert z + 1 == MPoly({z1: 1, ea.ZERO_EXP: 1})
-    assert z - Fraction(1, 2) == MPoly({z1: 1, ea.ZERO_EXP: Fraction(-1, 2)})
+    assert z - Fraction(2, 2) == MPoly({z1: 1, ea.ZERO_EXP: -1})
+    assert _stored(Z - Fraction(1, 2)) == (MPoly({z1: 2, ea.ZERO_EXP: -1}),
+                                           MPoly.const(2))
 
 
 def test_mpoly_on_the_left_of_a_ratfunc_or_scalar():
@@ -222,8 +237,10 @@ def test_mpoly_on_the_left_of_a_ratfunc_or_scalar():
 
 
 def test_exact_scalars_accepted():
-    # ints, bools and Fractions enter every entry point in stored form:
-    # num and den compared term by term, coefficient types included
+    # ints, bools and Fractions enter every RatFunc entry point in stored
+    # form, a Fraction as an int numerator over a positive int
+    # denominator: num and den compared term by term, coefficient types
+    # included
     z = MPoly.var("z")
 
     def form(x):
@@ -235,22 +252,23 @@ def test_exact_scalars_accepted():
     cases = [
         (RatFunc(True), [[(one, int, 1)], over_one, True]),
         (RatFunc(Fraction(4, 2)), [[(one, int, 2)], over_one, True]),
-        (RatFunc(Fraction(1, 2)),
-         [[(one, Fraction, Fraction(1, 2))], over_one, True]),
+        (RatFunc(Fraction(1, 2)), [[(one, int, 1)], [(one, int, 2)], True]),
+        (RatFunc(Fraction(-4, 6)),
+         [[(one, int, -2)], [(one, int, 3)], True]),
         (RatFunc(z, True), [[(z1, int, 1)], over_one, True]),
         (RatFunc(z, 2), [[(z1, int, 1)], [(one, int, 2)], False]),
-        (RatFunc(z, Fraction(2, 3)),
-         [[(z1, int, 1)], [(one, Fraction, Fraction(2, 3))], False]),
+        (RatFunc(z, Fraction(2, 3)), [[(z1, int, 3)], [(one, int, 2)], False]),
+        (RatFunc(Fraction(1, 2), z),
+         [[(one, int, 1)], [(z1, int, 2)], False]),
         (Z + True, [[(one, int, 1), (z1, int, 1)], over_one, True]),
         (True + Z, [[(one, int, 1), (z1, int, 1)], over_one, True]),
         (Z * False, [[], over_one, True]),
         (Z - Fraction(1, 2),
-         [[(one, Fraction, Fraction(-1, 2)), (z1, int, 1)], over_one, True]),
+         [[(one, int, -1), (z1, int, 2)], [(one, int, 2)], True]),
         (Z / 3, [[(z1, int, 1)], [(one, int, 3)], False]),
         (RatFunc(z * True), [[(z1, int, 1)], over_one, True]),
         (RatFunc(z * 0), [[], over_one, True]),
-        (RatFunc(Fraction(1, 2) * z),
-         [[(z1, Fraction, Fraction(1, 2))], over_one, True]),
+        (Z * Fraction(1, 2), [[(z1, int, 1)], [(one, int, 2)], False]),
         (RatFunc(z * Fraction(2)), [[(z1, int, 2)], over_one, True]),
         (RatFunc(MPoly.const(True)), [[(one, int, 1)], over_one, True]),
         (RatFunc(MPoly.const(0)), [[], over_one, True]),
@@ -259,31 +277,75 @@ def test_exact_scalars_accepted():
         assert form(x) == expected, x
 
 
-def _random_rational_mpoly(rng):
-    p = MPoly()
+def test_mpoly_refuses_rational_coefficients():
+    # an MPoly is a Laurent polynomial over Z; rational content belongs in
+    # a RatFunc's denominator (`Z * Fraction(1, 2)` is z over 2, as
+    # test_exact_scalars_accepted pins)
+    for make in (lambda: MPoly.const(Fraction(1, 2)),
+                 lambda: MPoly.parse("1/2*z^1"),
+                 lambda: MPoly.var("z") * Fraction(1, 2),
+                 lambda: Fraction(1, 2) * MPoly.var("z"),
+                 lambda: MPoly.var("z") + Fraction(1, 2),
+                 lambda: MPoly({ea.ZERO_EXP: Fraction(2, 3)})):
+        with pytest.raises(TypeError, match="not an integer coefficient"):
+            make()
+
+
+def _fraction_value(f, point):
+    """f at a point by Fraction arithmetic on its terms: the oracle of
+    `substitute` and `eval` at rational points."""
+    def value(p):
+        return sum(c * math.prod(Fraction(point[v]) ** x
+                                 for v, x in zip(VARS, e))
+                   for e, c in p.terms.items())
+    return value(f.num) / value(f.den)
+
+
+def test_substitute_and_eval_at_rational_points():
+    # a rational binding enters as an int numerator over a positive int
+    # denominator, so the image has int num and den, here on a value with
+    # negative q-exponents in num and den
+    f = RatFunc(MPoly.parse("1*z^1*w^1 + -3*q^-2 + 1*t^1 + 2*u^1"),
+                MPoly.parse("2 + 1*z^1 + 1*w^1*q^-1"))
+    iq = VARS.index("q")
+    assert min(e[iq] for p in (f.num, f.den) for e in p.terms) < 0
+    rest = {"z": Fraction(-1, 3), "w": 7, "q": Fraction(3, 4), "t": 2,
+            "u": Fraction(5, 2)}
+    for binding in ({"z": Fraction(3, 2)}, {"w": Fraction(2, 5)}, {"q": 5},
+                    {"z": Fraction(3, 2), "w": Fraction(2, 5), "q": 5}):
+        image = f.substitute(binding)
+        for p in (image.num, image.den):
+            assert p.terms and _integer(p), (binding, image)
+        point = dict(rest, **binding)
+        expected = _fraction_value(f, point)
+        assert image.eval(rest) == expected, binding
+        assert f.eval(point) == expected, binding
+
+
+def _random_rational(rng):
+    """A polynomial with rational coefficients, its rational content in a
+    constant denominator."""
+    p = {}
     for _ in range(rng.randint(1, 3)):
         e = tuple(rng.randint(0, 2) for _ in range(5))
-        p = p + MPoly.monomial(e, Fraction(rng.randint(-4, 4),
-                                           rng.choice((1, 1, 2, 3))))
-    return p if not p.is_zero() else MPoly.const(2)
+        p[e] = p.get(e, 0) + Fraction(rng.randint(-4, 4),
+                                      rng.choice((1, 1, 2, 3)))
+    p = {e: c for e, c in p.items() if c}
+    return RatFunc(*_over_z(p)) if p else RatFunc(2)
 
 
 def test_no_float_coefficients_randomized():
     rng = random.Random(19)
     for _ in range(25):
-        a, b = _random_rational_mpoly(rng), _random_rational_mpoly(rng)
+        a, b = _random_rational(rng), _random_rational(rng)
         prod = a * b
-        results = [a + b, a - b, prod, a * 3, a ** 2, a ** 3]
-        image = RatFunc(a, b).substitute({"t": -(ONE / U), "z": T * U})
-        normalised = [prod.exact_div(b), (a * 2).exact_div(MPoly.const(4)),
-                      RatFunc(a, b).simplified().num,
-                      RatFunc(a, b).simplified().den,
-                      RatFunc(prod, b).simplified().num, image.num, image.den]
-        assert prod.exact_div(b) == a
-        for p in results + normalised:
-            assert all(type(c) in (int, Fraction) for c in p.terms.values())
-        for p in normalised:
-            assert _stored_form(p), p
+        results = [a + b, a - b, prod, a * 3, a ** 2, a ** 3, a / 4]
+        image = (a / b).substitute({"t": -(ONE / U), "z": T * U})
+        reduced = [(prod / b).simplified(), (a * 2 / 4).simplified(),
+                   (a / b).simplified(), image.simplified()]
+        assert (prod / b).simplified() == a
+        for x in results + reduced + [image]:
+            assert _integer(x.num) and _integer(x.den), x
 
 
 def test_sum_stored_in_lowest_terms():
@@ -302,7 +364,8 @@ def _random_unreduced(rng):
         tuple(rng.randint(0, 1) for _ in range(5)), rng.choice((-1, 1, 2)))
     den = MPoly.monomial((0, 0, rng.randint(1, 2), 0, 0), rng.randint(1, 3)) \
         + MPoly.const(rng.choice((-2, -1, 1)))
-    return RatFunc(_random_rational_mpoly(rng) * common, den * common)
+    x = _random_rational(rng)
+    return RatFunc(x.num * common, x.den * den * common)
 
 
 def test_sum_reduced_randomized():
@@ -332,18 +395,21 @@ def _random_addend(rng, earlier):
     if kind == 0:
         return _random_unreduced(rng)
     if kind == 1:  # a monomial denominator, negative exponents included
-        return RatFunc(_random_rational_mpoly(rng), shift * rng.randint(1, 3))
-    if kind == 2:  # a constant denominator
-        return RatFunc(_random_rational_mpoly(rng),
-                       MPoly.const(Fraction(rng.randint(1, 3), 2)))
+        x = _random_rational(rng)
+        return RatFunc(x.num, x.den * shift * rng.randint(1, 3))
+    if kind == 2:  # a constant denominator k/2, rational content included
+        x = _random_rational(rng)
+        return RatFunc(x.num * 2, x.den * rng.randint(1, 3))
     if kind == 3:  # a Laurent polynomial
-        return RatFunc(_random_rational_mpoly(rng) * shift)
+        x = _random_rational(rng)
+        return RatFunc(x.num * shift, x.den)
     if kind == 4:
         return RatFunc(MPoly(), rng.choice((MPoly.const(1),
                                             _random_unreduced(rng).den)))
     other = rng.choice(earlier)
     if kind == 5:
-        return RatFunc(_random_rational_mpoly(rng) * shift, other.den)
+        x = _random_rational(rng)
+        return RatFunc(x.num * shift, x.den * other.den)
     return -other
 
 
@@ -365,10 +431,11 @@ def test_normal_form_rules():
     f = RatFunc(MPoly.parse("1 + 1*q^1"), MPoly.parse("1 + -1*z^1")).simplified()
     assert (f.num, f.den) == (MPoly.parse("-1 + -1*q^1"),
                               MPoly.parse("-1 + 1*z^1"))
-    # rational coefficients are cleared: num and den are integral, with
-    # coprime contents
-    f = RatFunc(MPoly.parse("3/2 + 3/2*w^1"),
-                MPoly.parse("9/4*z^1 + 3*z^1*w^1 + -6*q^1")).simplified()
+    # contents are cancelled: num and den have coprime contents.  Here
+    # num/den is (3/2 + 3/2 w) / (9/4 z + 3zw - 6q), its rational content
+    # moved into the constants 2 and 4
+    f = RatFunc(MPoly.parse("3 + 3*w^1") * 4,
+                MPoly.parse("9*z^1 + 12*z^1*w^1 + -24*q^1") * 2).simplified()
     assert (f.num, f.den) == (MPoly.parse("2 + 2*w^1"),
                               MPoly.parse("-8*q^1 + 3*z^1 + 4*z^1*w^1"))
     # a monomial factor of den moves to num, so den has min exponents 0
@@ -376,10 +443,11 @@ def test_normal_form_rules():
                 MPoly.parse("1*z^1*t^2 + 1*z^2*t^2")).simplified()
     assert (f.num, f.den) == (MPoly.parse("1*z^-1*w^1*t^-2"),
                               MPoly.parse("1 + 1*z^1"))
-    # a den that reduces to a monomial is folded into num
+    # a den that reduces to a monomial c x^e leaves x^e in num and keeps
+    # c, made positive
     f = RatFunc(MPoly.parse("2 + 2*w^1"),
                 MPoly.parse("-3*z^1 + -3*z^1*w^1")).simplified()
-    assert (f.num, f.den) == (MPoly.parse("-2/3*z^-1"), MPoly.const(1))
+    assert (f.num, f.den) == (MPoly.parse("-2*z^-1"), MPoly.const(3))
     # a common factor is cancelled, whatever its content
     common = MPoly.parse("7 + -5*z^1*w^2 + 11*q^3")
     f = RatFunc(MPoly.parse("1 + 1*t^1") * common,
@@ -390,7 +458,7 @@ def test_normal_form_rules():
 
 def _sympy_simplified(f):
     """The reference reduction: sympy's `cancel` on num and den shifted to
-    polynomials, then the same shift back and monomial fold."""
+    polynomials, then the same shift back."""
     from sympy import QQ
     from sympy.polys.rings import ring
 
@@ -416,21 +484,31 @@ def _sympy_simplified(f):
     n, d = to_ring(shift(f.num, tuple(-x for x in sn))).cancel(
         to_ring(shift(f.den, tuple(-x for x in sd))))
     num = shift(from_ring(n), tuple(a - b for a, b in zip(sn, sd)))
-    den = from_ring(d)
-    if den.is_monomial():
-        return RatFunc(num.exact_div(den), MPoly.const(1))
-    return RatFunc(num, den)
+    return RatFunc(num, from_ring(d))
 
 
 def _random_laurent(rng, used, terms):
-    p = MPoly()
+    """A Laurent polynomial with rational coefficients, as (m * p, m)."""
+    p = {}
     for _ in range(terms):
         e = [0] * 5
         for i in used:
             e[i] = rng.randint(-2, 3)
-        p = p + MPoly.monomial(e, Fraction(rng.randint(-9, 9),
-                                           rng.choice((1, 1, 2, 3, 6))))
-    return p
+        e = tuple(e)
+        p[e] = p.get(e, 0) + Fraction(rng.randint(-9, 9),
+                                      rng.choice((1, 1, 2, 3, 6)))
+    return _over_z({e: c for e, c in p.items() if c})
+
+
+def _random_cancel_input(rng, a, b, common):
+    """(a * common) / (b * common * k) for rational (m * p, m) pairs, its
+    rational content moved into the denominators; None if b * common is
+    zero or a monomial."""
+    (a, ma), (b, mb), (common, _) = a, b, common
+    if b.is_zero() or common.is_zero() or (b * common).is_monomial():
+        return None
+    return RatFunc(a * common * mb,
+                   b * common * (ma * rng.choice((1, -3, 1000003))))
 
 
 def test_simplified_matches_sympy_cancel():
@@ -439,30 +517,29 @@ def test_simplified_matches_sympy_cancel():
     checked = 0
     while checked < 2000:
         used = rng.sample(range(5), rng.randint(1, 4))
-        a, b, common = (_random_laurent(rng, used, rng.randint(1, 4))
-                        for _ in range(3))
-        if b.is_zero() or common.is_zero() or (b * common).is_monomial():
+        f = _random_cancel_input(rng, *(
+            _random_laurent(rng, used, rng.randint(1, 4)) for _ in range(3)))
+        if f is None:
             continue
-        f = RatFunc(a * common, b * common * rng.choice((1, -3, 1000003)))
         got, expected = f.simplified(), _sympy_simplified(f)
         assert (got.num.terms, got.den.terms) == \
             (expected.num.terms, expected.den.terms), f
-        assert _stored_form(got.num) and _stored_form(got.den)
+        assert _integer(got.num) and _integer(got.den)
         checked += 1
     # factors of 15-40 terms, so that products and the gcd's exact
     # divisions are large enough to be packed
     checked = 0
     while checked < 100:
         used = rng.sample(range(5), rng.randint(2, 3))
-        a, b, common = (_random_laurent(rng, used, rng.randint(15, 40))
-                        for _ in range(3))
-        if b.is_zero() or common.is_zero() or (b * common).is_monomial():
+        f = _random_cancel_input(rng, *(
+            _random_laurent(rng, used, rng.randint(15, 40))
+            for _ in range(3)))
+        if f is None:
             continue
-        f = RatFunc(a * common, b * common * rng.choice((1, -3, 1000003)))
         got, expected = f.simplified(), _sympy_simplified(f)
         assert (got.num.terms, got.den.terms) == \
             (expected.num.terms, expected.den.terms), f
-        assert _stored_form(got.num) and _stored_form(got.den)
+        assert _integer(got.num) and _integer(got.den)
         checked += 1
 
 
@@ -490,10 +567,15 @@ def test_packed_product_matches_schoolbook(monkeypatch):
             f, g = (_random_terms(rng, rng.randint(30, 40),
                                   [rng.randint(-4, -1) for _ in range(5)],
                                   (3,) * 5, bits, rational) for _ in range(2))
-            got = MPoly(f) * MPoly(g)
+            # rational content moves into the constants mf and mg, and
+            # the packed product of the integer parts is mf * mg times the
+            # schoolbook product over Q
+            (pf, mf), (pg, mg) = _over_z(f), _over_z(g)
+            got = pf * pg
             assert not fallbacks, (bits, rational)
-            assert got.terms == school(f, g)
-            assert _stored_form(got)
+            assert got.terms == {e: c * mf * mg
+                                 for e, c in school(f, g).items()}
+            assert _integer(got)
             # equal coefficients of one sign: the product's coefficients
             # come near the bound that the digit width is taken from
             f, g = {e: 2 ** bits for e in f}, {e: -2 ** bits for e in g}
@@ -655,10 +737,12 @@ def test_macdonald_layer_makes_no_gcd(monkeypatch):
         md.modified_H(mu)
         md.schur_coefficients(mu)
         md.specialized_H(mu)
-    s = RatFunc.sum([Z, -W * W, RatFunc(MPoly.parse("1/2*q^1")), ONE, -Z])
+    # a rational addend is a value over a constant, which meets an
+    # integer gcd
+    s = RatFunc.sum([Z, -W * W, RatFunc(MPoly.parse("1*q^1"), 2), ONE, -Z])
     assert calls == []
-    assert _stored(s) == (MPoly.parse("1 + 1/2*q^1 + -1*w^2"),
-                          MPoly.const(1))
+    assert _stored(s) == (MPoly.parse("2 + 1*q^1 + -2*w^2"),
+                          MPoly.const(2))
 
 
 def test_gcd_divisor_larger_than_dividend():
@@ -724,19 +808,22 @@ def _stored(x):
 
 def _random_lowest(rng, factors):
     """A value in stored form: a Laurent polynomial with rational
-    coefficients, a folded monomial denominator, or a quotient whose
-    denominator is a product of some of `factors` times a content."""
+    coefficients over a constant, a monomial denominator, or a quotient
+    whose denominator is a product of some of `factors` times a
+    content."""
     kind = rng.randrange(5)
     shift = MPoly.monomial(tuple(rng.randint(-2, 1) for _ in range(5)))
     if kind == 0:
-        return RatFunc(_random_rational_mpoly(rng) * shift).simplified()
+        x = _random_rational(rng)
+        return RatFunc(x.num * shift, x.den).simplified()
     if kind == 1:
-        return RatFunc(_random_rational_mpoly(rng),
-                       shift * rng.randint(1, 3)).simplified()
+        x = _random_rational(rng)
+        return RatFunc(x.num, x.den * shift * rng.randint(1, 3)).simplified()
     den = MPoly.const(rng.choice((1, 1, 2, 3, 6)))
     for f in rng.sample(factors, rng.randint(1, 2)):
         den = den * f
-    return RatFunc(_random_rational_mpoly(rng) * shift, den).simplified()
+    x = _random_rational(rng)
+    return RatFunc(x.num * shift, x.den * den).simplified()
 
 
 FACTORS = [MPoly.parse(s) for s in (
@@ -749,8 +836,9 @@ def test_add_lowest_matches_sum_randomized():
     for _ in range(300):
         x = _random_lowest(rng, FACTORS)
         kind = rng.randrange(5)
-        if kind == 0:  # an equal denominator
-            y = RatFunc(_random_rational_mpoly(rng), x.den).simplified()
+        if kind == 0:  # an equal denominator, times any rational content
+            r = _random_rational(rng)
+            y = RatFunc(r.num, r.den * x.den).simplified()
         elif kind == 1:  # a zero sum
             y = -x
         elif kind == 2:  # a sum that cancels factors of the common one
@@ -793,15 +881,21 @@ def test_add_lowest_contents():
 
 
 def test_add_lowest_denominator_one_with_fractions():
-    # a denominator 1 is cleared to the lcm of its coefficients' denominators
-    x = RatFunc(MPoly.parse("1/2*z^-1 + 2/3*w^1"))
+    # rational content is a constant denominator, added like any other:
+    # x = 1/2 z^-1 + 2/3 w over the lcm 6 of its coefficients'
+    # denominators
+    x = RatFunc(MPoly.parse("3*z^-1 + 4*w^1"), 6).simplified()
+    assert _stored(x) == (MPoly.parse("3*z^-1 + 4*w^1"), MPoly.const(6))
     y = (Z / (2 * Z + 4)).simplified()
     s = ea._add_lowest(x, y)
     assert _stored(s) == _stored(RatFunc.sum((x, y)))
     assert s == x + y and not s.den.is_one()
-    # two denominators 1 are cleared alike, and the sum is over 1 again
-    s = ea._add_lowest(x, -x + RatFunc(MPoly.parse("1/2")))
-    assert _stored(s) == (MPoly.parse("1/2"), MPoly.const(1))
+    # two constant denominators give a constant denominator again
+    s = ea._add_lowest(x, -x + RatFunc(Fraction(1, 2)))
+    assert _stored(s) == (MPoly.const(1), MPoly.const(2))
+    # and a sum whose rational content cancels is over 1
+    s = ea._add_lowest(x, -x + RatFunc(2))
+    assert _stored(s) == (MPoly.const(2), MPoly.const(1))
 
 
 def test_add_lowest_coprime_denominators_one_gcd(monkeypatch):
@@ -890,10 +984,13 @@ def test_constructed_value_marked_only_over_one():
     assert not u.stored
     red = u.simplified()
     assert red.stored and (red.num, red.den) == (num, den)
-    assert RatFunc(MPoly.parse("1/2*z^-1 + 1*w^1")).stored
+    assert RatFunc(MPoly.parse("1*z^-1 + 2*w^1")).stored
+    assert not RatFunc(MPoly.parse("1*z^-1 + 2*w^1"), 2).stored
+    # a lone Fraction is n/d in lowest terms, so it is marked
+    assert RatFunc(Fraction(1, 2)).stored
     half = RatFunc(1, 2)
     assert not half.stored
-    assert _stored(half.simplified()) == (MPoly.parse("1/2"), MPoly.const(1))
+    assert _stored(half.simplified()) == (MPoly.const(1), MPoly.const(2))
     # products, quotients, negation and substitutions are not marked, so a
     # later sum or `simplified()` still reduces them
     for v in (red * ONE, red / ONE, -red, red.substitute({"t": T}),
@@ -909,7 +1006,8 @@ def test_sum_of_one_marked_addend_is_itself():
     assert RatFunc.sum([x]) is x
     assert RatFunc.sum([ZERO, x, ZERO]) is x
     assert x + ZERO is x and ZERO + x is x
-    one = RatFunc(MPoly.parse("1/3*z^1"))
+    one = (Z / 3).simplified()
+    assert one.stored and _stored(one) == (MPoly.var("z"), MPoly.const(3))
     assert RatFunc.sum([one]) is one
     # a group that cancels is dropped, so x is the one value left
     y = (ONE / (Z - W)).simplified()
@@ -921,8 +1019,9 @@ def test_add_of_two_marked_values_is_the_grouped_sum_randomized():
     for _ in range(200):
         x = _random_lowest(rng, FACTORS)
         kind = rng.randrange(5)
-        if kind == 0:  # an equal denominator
-            y = RatFunc(_random_rational_mpoly(rng), x.den).simplified()
+        if kind == 0:  # an equal denominator, times any rational content
+            r = _random_rational(rng)
+            y = RatFunc(r.num, r.den * x.den).simplified()
         elif kind == 1:  # a zero sum
             y = (-x).simplified()
         elif kind == 2:  # a sum that cancels factors of the common one

@@ -553,9 +553,19 @@ def test_commutators_match_element_oracle(n, q):
     (lambda: fc.FqOrbit.central(-1, 2.0, 5), TypeError, "integer"),
     (lambda: fc.FqOrbit.split([(2.0, 1), (3, 1)], 5), TypeError, "integer"),
     (lambda: fc.FqOrbit.split([(2, 1.5), (3, 1)], 5), TypeError, "integer"),
+    # an orbit checks its group when it is built: a float q is refused
+    # there, not as a TypeError inside the count, and so are the checks
+    # that a count makes first
+    (lambda: fc.FqOrbit.central(-1, 2, 5.0), TypeError, "integer"),
+    (lambda: fc.FqOrbit.split([(2, 1), (3, 1)], 5.0), TypeError, "integer"),
+    (lambda: fc.check_group(2, 5.0), TypeError, "integer"),
+    (lambda: fc.check_size(2, 1, 5.0, 2), TypeError, "integer"),
+    (lambda: fc.FqOrbit.split([(2, 1), (3, 1)], 9), ValueError,
+     "q must be prime: 9"),
 ], ids=["split-zero", "split-repeated", "angles-q9", "central-zeta-2.5",
         "central-zeta-neg1.0", "central-n-2.0", "split-eigenvalue-2.0",
-        "split-multiplicity-1.5"])
+        "split-multiplicity-1.5", "central-q-5.0", "split-q-5.0",
+        "check-group-q-5.0", "check-size-q-5.0", "split-q9"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
