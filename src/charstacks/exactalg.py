@@ -34,16 +34,17 @@ many terms per coefficient collects them and sums them once.
 one gcd of that polynomial against the denominator; the kernel series
 Omega builds its terms with it.
 
-The gcd is the heuristic gcd of Char, Geddes & Gonnet (1989; Geddes,
-Czapor & Labahn 1992, section 7.7) on integer term dicts.  It evaluates at
-powers of two and reads the gcd and both cofactors from their images.
-By the theorem the candidate is the gcd once the gcd times each cofactor
-gives back the input; a bound on their coefficients proves that without
+Every reduction and sum takes its gcd from one routine, `_heugcd`, the
+heuristic gcd of Char, Geddes & Gonnet (1989; Geddes, Czapor & Labahn
+1992, section 7.7) on integer term dicts.  It divides out the content,
+and if an operand is then a constant, the gcd is that content; this
+holds at every level of its recursion.  Otherwise it evaluates at powers
+of two and reads the gcd and both cofactors from their images.  By the
+theorem the candidate is the gcd once the gcd times each cofactor gives
+back the input; a bound on their coefficients proves that without
 forming the products, which are formed only where the bound fails, and a
-constant candidate needs no proof.  Where a reduction or a sum meets a
-constant, `_gcd` takes the integer gcd of the contents instead.  There is
-no polynomial long division: a quotient is read from the reduced
-fraction.
+constant candidate needs no proof.  There is no polynomial long
+division: a quotient is read from the reduced fraction.
 
 A product by a single term c*x^e, the most common kind, adds e to each
 exponent of the other factor and multiplies each coefficient by c; by the
@@ -307,11 +308,15 @@ def _heugcd(f, g):
     nonnegative exponents, with h their gcd over Z up to sign.
 
     The heuristic gcd (Char, Geddes & Gonnet 1989; Geddes, Czapor &
-    Labahn 1992, section 7.7): the content c is divided out, the first
-    variable in use is set to xi = 2**b, the gcd of the images and their
-    cofactors are taken recursively, and h and the cofactors are read
-    from balanced base-xi digits, h with its content divided out.  By the
-    theorem, a primitive h so read is the gcd once it divides f and g and
+    Labahn 1992, section 7.7): the content c is divided out, and if f or
+    g is then a constant, the gcd is c and the cofactors are f/c and g/c,
+    since a constant's gcd with a polynomial is its gcd with the content.
+    That rule holds at every level, so an image that is a constant is not
+    evaluated again.  Otherwise the first variable in use is set to
+    xi = 2**b, the gcd of the images and their cofactors are taken
+    recursively, and h and the cofactors are read from balanced base-xi
+    digits, h with its content divided out.  By the theorem, a primitive
+    h so read is the gcd once it divides f and g and
     xi >= 2 * min(|f|, |g|) + 2, where |p| is the largest absolute value
     of a coefficient of p and |p|_1 the sum of them.  The first b makes
     xi > 64 * max(|f|, |g|): four bits past the 4 * max that meets the
@@ -330,15 +335,13 @@ def _heugcd(f, g):
     - otherwise the two products are formed and compared;
     - if they differ too, b doubles, for at most six tries.
     """
-    i = next((i for i, col in enumerate(zip(*f, *g)) if any(col)), None)
-    if i is None:
-        a, b = f[ZERO_EXP], g[ZERO_EXP]
-        h = gcd(a, b)
-        return {ZERO_EXP: h}, {ZERO_EXP: a // h}, {ZERO_EXP: b // h}
     c = gcd(*f.values(), *g.values())
     if c != 1:
         f = {e: v // c for e, v in f.items()}
         g = {e: v // c for e, v in g.items()}
+    if ZERO_EXP in f and len(f) == 1 or ZERO_EXP in g and len(g) == 1:
+        return {ZERO_EXP: c}, f, g
+    i = next(i for i, col in enumerate(zip(*f, *g)) if any(col))
     b = max(*map(abs, f.values()), *map(abs, g.values())).bit_length() + 6
     for _ in range(6):
         # xi > 2 * |f|, so no image vanishes
@@ -357,19 +360,6 @@ def _heugcd(f, g):
             return {e: v * c for e, v in h.items()}, cf, cg
         b *= 2
     raise ArithmeticError("heuristic gcd failed")
-
-
-def _gcd(f, g):
-    """`_heugcd(f, g)` for term dicts with nonnegative exponents, but an
-    integer gcd when f or g is a constant: its gcd with a polynomial is
-    its gcd with the polynomial's content."""
-    if ZERO_EXP in f and len(f) == 1 or ZERO_EXP in g and len(g) == 1:
-        c = gcd(*f.values(), *g.values())
-        if c == 1:
-            return _ONE_POLY.terms, f, g
-        return ({ZERO_EXP: c}, {e: v // c for e, v in f.items()},
-                {e: v // c for e, v in g.items()})
-    return _heugcd(f, g)
 
 
 def _integral(p):
@@ -737,7 +727,7 @@ class RatFunc:
             return RatFunc(0)
         # monomials are units: shift to honest polynomials first
         (sn, f), (sd, g) = _shifted(self.num.terms), _shifted(self.den.terms)
-        _, f, g = _gcd(f, g)
+        _, f, g = _heugcd(f, g)
         return _lowest(_unshifted(tuple(map(sub, sn, sd)), f), g)
 
     def as_mpoly(self):
@@ -801,11 +791,11 @@ def _lowest(num, den):
 def _mul_lowest(x, p):
     """x * p in stored form, for x in stored form and p an MPoly.  With
     x = n/d, n shares no factor with d, so the only factor of n*p and d to
-    cancel is gcd(p, d): one gcd of p against d, not of n*p against d."""
+    cancel is gcd(p, d): one gcd of p against d, not of n*p against d.
+    Where p or d is a constant, d = 1 included, that gcd is an integer
+    gcd, by the constant rule of `_heugcd`."""
     if x.num.is_zero() or p.is_zero():
         return RatFunc(0)
-    if x.den.is_one():
-        return RatFunc(x.num * p)
     s, p = _shifted(p.terms)
     _, p, den = _heugcd(p, x.den.terms)
     return _lowest(_unshifted(s, _mul(x.num.terms, p)), den)
@@ -820,19 +810,19 @@ def _add_lowest(x, y):
     n_x b, which it cannot (n_x is prime to d_x, a to b), and likewise
     for b; by Gauss's lemma the same holds for the integer primes of the
     contents.  So t shares with g a b only factors of g, and t is reduced
-    against g alone: by an integer gcd when g is a constant, and with no
-    gcd when g is 1.  Equal denominators give g = d_x and a = b = 1 with
-    no gcd: `RatFunc.sum` adds addends that share one as a group, so only
-    a running sum meets one here.
+    against g alone, by an integer gcd when g is a constant, 1 included
+    (the constant rule of `_heugcd`).  Equal denominators give g = d_x
+    and a = b = 1 with no gcd: `RatFunc.sum` adds addends that share one
+    as a group, so only a running sum meets one here.
     """
     dx, dy = x.den.terms, y.den.terms
     one = _ONE_POLY.terms
-    g, a, b = (dx, one, one) if dx == dy else _gcd(dx, dy)
+    g, a, b = (dx, one, one) if dx == dy else _heugcd(dx, dy)
     t = _as_poly(_mul(x.num.terms, b)) + _as_poly(_mul(y.num.terms, a))
     if t.is_zero():
         return RatFunc(0)
     s, t = _shifted(t.terms)
-    h, t, g = _gcd(t, g)
+    h, t, g = _heugcd(t, g)
     den = _mul(dx, b) if h == one else _mul(_mul(g, a), b)
     return _lowest(_unshifted(s, t), den)
 

@@ -696,6 +696,17 @@ def test_gcd_bound_refuses_wrapped_cofactor(monkeypatch):
     assert (red.num.terms, red.den) == (q, MPoly.const(1))
 
 
+def test_constant_image_is_not_evaluated_again(monkeypatch):
+    # z = 2**7 takes 1 + z to the constant 129, whose gcd with the image
+    # 1 + 128w of 1 + zw is the content 1: no evaluation in w follows
+    widths = _heugcd_widths(monkeypatch)
+    red = RatFunc(MPoly.parse("1 + 1*z^1"),
+                  MPoly.parse("1 + 1*z^1*w^1")).simplified()
+    assert widths == [7, 7]
+    assert _stored(red) == (MPoly.parse("1 + 1*z^1"),
+                            MPoly.parse("1 + 1*z^1*w^1"))
+
+
 def test_hlv_gcds_proved_by_the_bound(monkeypatch):
     # the extra bits of the first width let the bound prove all but one
     # level of the gcds of HH_{(2,1)|(2,1), 4}; that level forms two products
@@ -707,13 +718,13 @@ def test_hlv_gcds_proved_by_the_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("mus, m, budget", [
-    (((2, 1), (2, 1)), 4, 65),
-    (((2,), (1, 1)), 4, 15),
-    (((3,),), 2, 48),
+    (((2, 1), (2, 1)), 4, 64),
+    (((2,), (1, 1)), 4, 14),
+    (((3,),), 2, 47),
     # the smallest input with a sum of unreduced addends over two
     # denominators, each reduced by a gcd of its own
-    (((2,), (2,)), 3, 28),
-    (((3, 1),), 4, 101),
+    (((2,), (2,)), 3, 27),
+    (((3, 1),), 4, 100),
 ], ids=["(2,1)|(2,1)-m4", "(2)|(1,1)-m4", "(3)-m2", "(2)|(2)-m3", "(3,1)-m4"])
 def test_hlv_gcd_budget(monkeypatch, mus, m, budget):
     # the gcd work of HH, counted rather than timed: top-level `_heugcd`
@@ -788,14 +799,20 @@ def test_gcd_keeps_non_divisors():
 # return what RatFunc.sum and simplified() return, num and den compared
 # separately, while skipping the gcds that cannot cancel anything.
 
+def _is_constant(p):
+    return len(p) == 1 and ea.ZERO_EXP in p
+
+
 def _top_level_gcds(monkeypatch):
     """The list that gets the operands of each `_heugcd` call not made by
-    `_heugcd` itself."""
+    `_heugcd` itself, where neither operand is a constant: a call with a
+    constant operand is an integer gcd of contents."""
     calls = []
     heugcd = ea._heugcd
 
     def counted(f, g):
-        if sys._getframe(1).f_code is not heugcd.__code__:
+        if (sys._getframe(1).f_code is not heugcd.__code__
+                and not _is_constant(f) and not _is_constant(g)):
             calls.append((f, g))
         return heugcd(f, g)
     monkeypatch.setattr(ea, "_heugcd", counted)
@@ -944,6 +961,19 @@ def test_mul_lowest_one_gcd_of_the_factor(monkeypatch):
     s = ea._mul_lowest(x, p)
     assert calls == [(MPoly.parse("-1 + 1*z^2").terms, x.den.terms)]
     assert _stored(s) == _stored((x * RatFunc(p)).simplified())
+
+
+def test_mul_lowest_by_a_constant_makes_no_evaluation(monkeypatch):
+    # a constant factor meets the denominator in an integer gcd of contents,
+    # which cancels the 2 of 4 against 2(z - 1)
+    x = ((Z + W) / (2 * Z - 2)).simplified()
+    expected = [_stored((x * c).simplified()) for c in (3, 4, 1)]
+    widths = _heugcd_widths(monkeypatch)
+    got = [ea._mul_lowest(x, MPoly.const(c)) for c in (3, 4, 1)]
+    assert widths == []
+    assert all(s.stored for s in got) and list(map(_stored, got)) == expected
+    assert expected[1] == (MPoly.parse("2*z^1 + 2*w^1"),
+                           MPoly.parse("-1 + 1*z^1"))
 
 
 # -- the stored mark -------------------------------------------------------------
