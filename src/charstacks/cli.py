@@ -111,8 +111,16 @@ def _orbits_from_args(args, mus):
         return None
     if len(args.central_angle) != len(mus):
         raise ValueError("need one --central-angle per alphabet")
-    return [cs.OrbitSpec.central(Fraction(a), sum(mu))
+    return [cs.OrbitSpec.central(_angle(a), sum(mu))
             for a, mu in zip(args.central_angle, mus)]
+
+
+def _angle(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"--central-angle {text!r} is not a fraction") from None
 
 
 def cmd_series(args, which):

@@ -95,6 +95,18 @@ def _fits_key(key, bound):
     return all(fits(lam, rows) for lam, rows in zip(key, bound))
 
 
+def _checked_key(key, bound):
+    """key as one partition per alphabet, each read by check_partition;
+    refused unless it has one per alphabet and fits the bound."""
+    key = tuple(map(pt.check_partition, key))
+    if len(key) != len(bound):
+        raise ValueError("one partition per alphabet required")
+    if not _fits_key(key, bound):
+        raise ValueError(f"key {key} does not fit the truncation bound "
+                         f"{bound}")
+    return key
+
+
 def _bound(k, N):
     """The bound as one partition per alphabet; an int N is ((N,),) * k."""
     if isinstance(N, int):
@@ -288,12 +300,7 @@ class SymFunc:
     def coefficient(self, key):
         """The m_key coefficient; key has one partition per alphabet, and
         must fit the bound for the coefficient to be exact."""
-        key = tuple(tuple(mu) for mu in key)
-        if len(key) != self.k:
-            raise ValueError("one partition per alphabet required")
-        if not _fits_key(key, self.N):
-            raise ValueError(f"key {key} does not fit the truncation bound "
-                             f"{self.N}")
+        key = _checked_key(key, self.N)
         # only keys whose partitions each fill the target row contribute
         reads = {k: c for k, c in self.coeffs.items()
                  if all(map(_part_assignments, k, key))}
@@ -359,8 +366,10 @@ class SymFunc:
 
     @staticmethod
     def from_basis(basis, coeffs, k, N):
-        """Assemble from a dict key -> RatFunc of coefficients in `basis`."""
+        """Assemble from a dict key -> RatFunc of coefficients in `basis`;
+        each key has one partition per alphabet and fits the bound."""
         N = _bound(k, N)
+        coeffs = {_checked_key(key, N): c for key, c in coeffs.items()}
         return SymFunc(k, N, _transform(coeffs, basis, STORED, N))
 
     # -- text form (m basis) ---------------------------------------------------
@@ -391,12 +400,7 @@ class SymFunc:
 
 def basis_element(basis, mus, k, N):
     """The named basis element b_mu1(x_1) * ... * b_muk(x_k)."""
-    mus = tuple(tuple(mu) for mu in mus)
-    if len(mus) != k:
-        raise ValueError("one partition per alphabet required")
-    if not _fits_key(mus, _bound(k, N)):
-        raise ValueError(f"{mus} does not fit the truncation bound {N}")
-    return SymFunc.from_basis(basis, {mus: ONE}, k, N)
+    return SymFunc.from_basis(basis, {tuple(map(tuple, mus)): ONE}, k, N)
 
 
 def hall_pair_h(f, mus):

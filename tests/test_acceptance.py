@@ -96,31 +96,38 @@ def test_criterion_5_orientable_crosscheck():
     _report(5, "orientable-crosscheck", time.time() - t0, 120)
 
 
+def _macdonald_suite(n):
+    """The Macdonald certificates at |mu| = n: the top Schur coefficient,
+    q <-> t symmetry, the q = t = 1 collapse to p_1^n, Schur positivity
+    and the orthogonality of the P_mu."""
+    swap = {"q": T, "t": Q}
+    parts = pt.enumerate_partitions(n)
+    for mu in parts:
+        H = md.modified_H(mu)
+        schur = md.schur_coefficients(mu)
+        assert schur[(n,)] == ONE, mu
+        assert H.map_coefficients(lambda c: c.substitute(swap)) == \
+            md.modified_H(pt.conjugate(mu)), mu
+        collapse = H.map_coefficients(
+            lambda c: RatFunc(c.eval({"q": 1, "t": 1})))
+        assert collapse == basis_element("p", ((1,) * n,), 1, n), mu
+        for c in schur.values():
+            c = c.simplified()
+            assert c.den.is_one() or c.den.is_monomial(), mu
+            p = c.as_mpoly()
+            assert all(x.denominator == 1 and x > 0
+                       for x in p.terms.values()), mu
+            assert all(x >= 0 for e in p.terms for x in e), mu
+    P = {mu: md.macdonald_P(mu) for mu in parts}
+    for i, mu in enumerate(parts):
+        for nu in parts[i + 1:]:
+            assert md.qt_inner(P[mu], P[nu]) == RatFunc(0), (mu, nu)
+
+
 def test_criterion_6_macdonald_suite():
     t0 = time.time()
-    swap = {"q": T, "t": Q}
     for n in range(1, 6):
-        parts = pt.enumerate_partitions(n)
-        for mu in parts:
-            H = md.modified_H(mu)
-            schur = md.schur_coefficients(mu)
-            assert schur[(n,)] == ONE
-            assert H.map_coefficients(lambda c: c.substitute(swap)) == \
-                md.modified_H(pt.conjugate(mu))
-            collapse = H.map_coefficients(
-                lambda c: RatFunc(c.eval({"q": 1, "t": 1})))
-            assert collapse == basis_element("p", ((1,) * n,), 1, n)
-            for c in schur.values():
-                c = c.simplified()
-                assert c.den.is_one() or c.den.is_monomial()
-                p = c.as_mpoly()
-                assert all(x.denominator == 1 and x > 0
-                           for x in p.terms.values())
-                assert all(x >= 0 for e in p.terms for x in e)
-        P = {mu: md.macdonald_P(mu) for mu in parts}
-        for i, mu in enumerate(parts):
-            for nu in parts[i + 1:]:
-                assert md.qt_inner(P[mu], P[nu]) == RatFunc(0)
+        _macdonald_suite(n)
     _report(6, "macdonald-suite", time.time() - t0, 300)
 
 

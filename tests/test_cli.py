@@ -182,6 +182,10 @@ ONE_SURFACE = "exactly one of --nonorientable/--orientable required"
     (["hlv", "--mu", "(0)", "--m", "2"], "partition parts must be >= 1"),
     (["count", *NON, "--n", "2", "--zeta", "5", "--q", "5"],
      "zeta must be invertible"),
+    (["mixed", *NON, "--mu", "(2)", "--central-angle", "1/0"],
+     "--central-angle '1/0' is not a fraction"),
+    (["eseries", *NON, "--mu", "(2)", "--central-angle", "half"],
+     "--central-angle 'half' is not a fraction"),
 ])
 def test_refusals_exit_2_before_output(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -310,11 +310,11 @@ def test_HH_even_m_symmetric_and_positive(mus, m):
     # instance, as Hausel, Letellier and Rodriguez-Villegas conjecture;
     # test_HH_odd_m_not_always_polynomial has an odd m where both fail
     f = hlv_HH(mus, m)
-    assert f.substitute({"z": W, "w": Z}) == f
+    assert f.substitute({"z": W, "w": Z}) == f, mus
     p = f.substitute({"z": -Z}).as_mpoly()
-    assert p is not None
+    assert p is not None, mus
     assert all(c > 0 and c.denominator == 1 and min(e) >= 0
-               for e, c in p.terms.items())
+               for e, c in p.terms.items()), mus
 
 
 # -- the replaced Omega and Log paths, kept as oracles -------------------------

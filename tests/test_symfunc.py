@@ -171,14 +171,18 @@ def test_m_view_readers_agree():
     assert m[((1,), (1, 1))] == T
 
 
+def _basis_roundtrips(n):
+    """m_lam -> b -> m_lam for every |lam| = n and b = p, s, h, e."""
+    for lam in pt.enumerate_partitions(n):
+        f = one_alphabet("m", lam, N=n)
+        for basis in ("p", "s", "h", "e"):
+            back = SymFunc.from_basis(basis, f.to_basis(basis), 1, n)
+            assert back == f, (basis, lam)
+
+
 def test_basis_roundtrips():
     for n in range(1, 6):
-        for lam in pt.enumerate_partitions(n):
-            f = one_alphabet("m", lam, N=n)
-            for basis in ("p", "s", "h", "e"):
-                table = f.to_basis(basis)
-                back = SymFunc.from_basis(basis, table, 1, n)
-                assert back == f
+        _basis_roundtrips(n)
 
 
 def test_coefficient_matches_m_view_randomized():
@@ -511,9 +515,17 @@ def test_inexact_operands_refused():
      "one partition per alphabet required"),
     (lambda: basis_element("m", ((1,), (1,)), 1, 2),
      "one partition per alphabet required"),
+    (lambda: SymFunc.from_basis("m", {((1,),): ONE}, 2, 2),
+     "one partition per alphabet required"),
+    (lambda: SymFunc.parse("(3) : 1", 1, 2), "does not fit"),
+    (lambda: SymFunc.parse("(1)|(1)|(1) : 1", 2, 2),
+     "one partition per alphabet required"),
+    (lambda: SymFunc.one(1, 3).coefficient(((1, 2),)),
+     "parts must be weakly decreasing"),
 ], ids=["basis", "plethysm-r0", "log-constant-2", "log-constant-0",
         "bound-too-few", "bound-too-many", "element-too-few",
-        "element-too-many"])
+        "element-too-many", "from-basis-too-few", "parse-too-large",
+        "parse-too-many", "coefficient-not-a-partition"])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
