@@ -71,13 +71,17 @@ class OrbitSpec:
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Either a non-orientable surface (r cross-caps) or genus g, with k >= 1
-    punctures."""
+    punctures.  k, r and g are read through `operator.index`, so a float
+    raises TypeError and a bool is stored as an int."""
     kind: str  # "nonorientable" | "orientable"
     k: int
     r: int = None
     g: int = None
 
     def __post_init__(self):
+        for name in ("k", "r", "g"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, index(getattr(self, name)))
         if self.kind == "nonorientable":
             if self.r is None or self.g is not None or self.r < 1:
                 raise ValueError("nonorientable surface needs r >= 1 only")
@@ -113,16 +117,14 @@ def orientable(g, k):
 
 # -- genericity ---------------------------------------------------------------
 
-def _submultiset_sums(eigenvalues, vmax):
-    """Achievable angle-sums over sub-multisets of each size v <= vmax, as
-    a dict v -> {sum: witness choice}, one witness per sum."""
+def _submultiset_sums(eigenvalues):
+    """Achievable angle-sums over sub-multisets of each size v, as a dict
+    v -> {sum: witness choice}, one witness per sum."""
     dp = {0: {Fraction(0): ()}}
     for angle, mult in eigenvalues:
         nxt = {c: dict(d) for c, d in dp.items()}
         for take in range(1, mult + 1):
             for c, d in dp.items():
-                if c + take > vmax:
-                    continue
                 tgt = nxt.setdefault(c + take, {})
                 for s, choice in d.items():
                     key = s + take * angle
@@ -135,34 +137,29 @@ def _submultiset_sums(eigenvalues, vmax):
 def is_generic(orbits):
     """Genericity of a tuple of orbits; returns (bool, witness or None).
 
-    Generic iff the angles of all eigenvalues sum to an integer (the
-    determinants multiply to 1; otherwise the variety is empty), and for
-    no 1 <= v < n are there sub-multisets of size v of each orbit's
-    eigenvalue multiset whose combined angle sum is an integer (i.e. the
-    product of the restricted determinants is 1).  The witness names the
-    failing v, the chosen eigenvalues per orbit and their angle sum.
+    One rule for every size 1 <= v <= n: choose v eigenvalues (with
+    multiplicity) from each orbit.  A choice is a witness when its angle
+    sum is an integer for v < n (the restricted determinants multiply to
+    1), or is not one for v = n (the whole tuple's determinants do not
+    multiply to 1, so the variety is empty).  Generic iff no choice is a
+    witness.  The witness names v, the chosen eigenvalues per orbit and
+    their angle sum.
     """
     if not orbits:
         raise ValueError("at least one orbit required")
     n = orbits[0].n
     if any(o.n != n for o in orbits):
         raise ValueError("orbits must share the same n")
-    tables = [_submultiset_sums(o.eigenvalues, n - 1) for o in orbits]
-    for v in range(1, n):
-        per_orbit = [dp.get(v, {}) for dp in tables]
-        # combine achievable sums across orbits
+    tables = [_submultiset_sums(o.eigenvalues) for o in orbits]
+    for v in range(1, n + 1):
         combined = {Fraction(0): ()}
-        for d in per_orbit:
+        for dp in tables:
             combined = {s + s2: ch + (ch2,)
                         for s, ch in combined.items()
-                        for s2, ch2 in d.items()}
+                        for s2, ch2 in dp[v].items()}
         for s, choice in combined.items():
-            if s.denominator == 1:
+            if (s.denominator == 1) != (v == n):
                 return False, {"v": v, "choices": choice, "sum": s}
-    total = sum(a * m for o in orbits for a, m in o.eigenvalues)
-    if total.denominator != 1:
-        return False, {"v": n, "choices": tuple(o.eigenvalues for o in orbits),
-                       "sum": total}
     return True, None
 
 

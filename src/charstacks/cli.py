@@ -88,13 +88,13 @@ def _latex(f):
 def _surface_from_args(args, k):
     if args.nonorientable == args.orientable:
         raise ValueError("exactly one of --nonorientable/--orientable required")
-    if args.nonorientable:
-        if args.r is None:
-            raise ValueError("--nonorientable requires --r")
-        return cs.nonorientable(r=args.r, k=k)
-    if args.g is None:
+    if args.nonorientable and args.r is None:
+        raise ValueError("--nonorientable requires --r")
+    if args.orientable and args.g is None:
         raise ValueError("--orientable requires --g")
-    return cs.orientable(g=args.g, k=k)
+    # a stray --r or --g is refused by SurfaceSpec, not dropped
+    kind = "nonorientable" if args.nonorientable else "orientable"
+    return cs.SurfaceSpec(kind=kind, k=k, r=args.r, g=args.g)
 
 
 def cmd_hlv(args):

@@ -92,13 +92,18 @@ def fits(lam, rows):
 
 
 def _fits_key(key, bound):
-    return all(fits(lam, rows) for lam, rows in zip(key, bound))
+    return all(map(fits, key, bound))
 
 
 def _checked_key(key, bound):
     """key as one partition per alphabet, each read by check_partition;
     refused unless it has one per alphabet and fits the bound."""
-    key = tuple(map(pt.check_partition, key))
+    return _fitting_key(tuple(map(pt.check_partition, key)), bound)
+
+
+def _fitting_key(key, bound):
+    """key, refused unless it has one partition per alphabet and fits the
+    bound; its partitions are taken as given."""
     if len(key) != len(bound):
         raise ValueError("one partition per alphabet required")
     if not _fits_key(key, bound):
@@ -266,7 +271,9 @@ class SymFunc:
     """Element of the truncated ring, stored in the basis p_lam / z_lam.
 
     N is the truncation bound, stored as one partition per alphabet; an
-    int N passed in stands for the row bound ((N,),) * k."""
+    int N passed in stands for the row bound ((N,),) * k.  A key of coeffs
+    is refused unless it has one partition per alphabet and fits the
+    bound; `from_basis` also reads each partition by check_partition."""
 
     __slots__ = ("k", "N", "coeffs")
 
@@ -276,6 +283,7 @@ class SymFunc:
         self.coeffs = {}
         if coeffs:
             for key, c in coeffs.items():
+                _fitting_key(key, self.N)
                 if not c.is_zero():
                     self.coeffs[key] = c
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,84 @@ def test_generic_permutation_invariant():
     o3 = OrbitSpec.central(Fraction(1, 2), 2)
     assert is_generic([o1, o3])[0] == is_generic([o2, o3])[0]
     assert is_generic([o1, o3])[0] == is_generic([o3, o1])[0]
+
+
+def _parent_is_generic(orbits):
+    """The two-clause check that is_generic replaced, kept as its oracle:
+    sizes v < n on a table pruned at n - 1, then the whole tuple's angle
+    sum with a hand-built witness."""
+    n = orbits[0].n
+    tables = []
+    for o in orbits:
+        dp = {0: {Fraction(0): ()}}
+        for angle, mult in o.eigenvalues:
+            nxt = {c: dict(d) for c, d in dp.items()}
+            for take in range(1, mult + 1):
+                for c, d in dp.items():
+                    if c + take > n - 1:
+                        continue
+                    tgt = nxt.setdefault(c + take, {})
+                    for s, choice in d.items():
+                        if s + take * angle not in tgt:
+                            tgt[s + take * angle] = choice + ((angle, take),)
+            dp = nxt
+        tables.append(dp)
+    for v in range(1, n):
+        combined = {Fraction(0): ()}
+        for d in [dp.get(v, {}) for dp in tables]:
+            combined = {s + s2: ch + (ch2,)
+                        for s, ch in combined.items()
+                        for s2, ch2 in d.items()}
+        for s, choice in combined.items():
+            if s.denominator == 1:
+                return False, {"v": v, "choices": choice, "sum": s}
+    total = sum(a * m for o in orbits for a, m in o.eigenvalues)
+    if total.denominator != 1:
+        return False, {"v": n, "choices": tuple(o.eigenvalues for o in orbits),
+                       "sum": total}
+    return True, None
+
+
+def _random_orbit(rng, n):
+    """An orbit of size n with random multiplicities and distinct angles
+    of one random denominator."""
+    mults = []
+    while sum(mults) < n:
+        mults.append(rng.randint(1, n - sum(mults)))
+    den = rng.choice([d for d in (2, 3, 4, 5, 6, 12) if d >= len(mults)])
+    return OrbitSpec.make(zip((Fraction(a, den) for a in
+                               rng.sample(range(den), len(mults))), mults))
+
+
+def test_is_generic_matches_two_clause_oracle_randomized():
+    rng = random.Random(38)
+    kinds = set()
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        orbits = [_random_orbit(rng, n) for _ in range(rng.randint(1, 3))]
+        got = is_generic(orbits)
+        assert repr(got) == repr(_parent_is_generic(orbits)), orbits
+        kinds.add("generic" if got[0] else
+                  "v < n" if got[1]["v"] < n else "v = n")
+    assert kinds == {"generic", "v < n", "v = n"}
+
+
+def test_multi_orbit_witnesses():
+    # v = 2 < n = 3 is found before the whole tuple, whose sum 11/6 is not
+    # an integer either
+    ok, witness = is_generic([
+        OrbitSpec.make([(Fraction(1, 6), 2), (Fraction(1, 3), 1)]),
+        OrbitSpec.make([(Fraction(1, 3), 2), (Fraction(1, 2), 1)])])
+    assert not ok and witness == {
+        "v": 2, "choices": (((Fraction(1, 6), 2),), ((Fraction(1, 3), 2),)),
+        "sum": Fraction(1)}
+    # no choice of v < 3 sums to an integer, and the whole tuple does not
+    third = OrbitSpec.make([(Fraction(1, 3), 1), (Fraction(1, 5), 2)])
+    seventh = OrbitSpec.central(Fraction(1, 7), 3)
+    ok, witness = is_generic([third, seventh])
+    assert not ok and witness == {
+        "v": 3, "choices": (third.eigenvalues, seventh.eigenvalues),
+        "sum": Fraction(122, 105)}
 
 
 def test_mismatched_n_rejected():
@@ -229,13 +308,30 @@ def test_counterexample_computes_HH_once(monkeypatch):
 
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: OrbitSpec.make([(Fraction(1, 2), 0)]),
+FLOAT = "'float' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: OrbitSpec.make([(Fraction(1, 2), 0)]), ValueError,
      "multiplicities must be >= 1"),
-    (lambda: orientable(-1, 1), "orientable surface needs g >= 0 only"),
-    (lambda: charstack.SurfaceSpec(kind="klein", k=1),
+    (lambda: orientable(-1, 1), ValueError,
+     "orientable surface needs g >= 0 only"),
+    (lambda: charstack.SurfaceSpec(kind="klein", k=1), ValueError,
      "unknown surface kind 'klein'"),
-], ids=["multiplicity-0", "genus-negative", "unknown-kind"])
-def test_refusals(call, message):
-    with pytest.raises(ValueError, match=message):
+    (lambda: nonorientable(2.5, 1), TypeError, FLOAT),
+    (lambda: orientable(1, 1.0), TypeError, FLOAT),
+    (lambda: orientable(2.0, 1), TypeError, FLOAT),
+], ids=["multiplicity-0", "genus-negative", "unknown-kind", "r-float",
+        "k-float", "g-float"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
         call()
+
+
+def test_surface_bool_stored_as_int():
+    # read through operator.index, as partitions and multiplicities are
+    surface = nonorientable(True, True)
+    assert type(surface.r) is int and type(surface.k) is int
+    assert json.dumps(surface.as_dict()) == \
+        '{"kind": "nonorientable", "k": 1, "r": 1}'
+    assert type(orientable(False, 1).g) is int

@@ -186,6 +186,10 @@ ONE_SURFACE = "exactly one of --nonorientable/--orientable required"
      "--central-angle '1/0' is not a fraction"),
     (["eseries", *NON, "--mu", "(2)", "--central-angle", "half"],
      "--central-angle 'half' is not a fraction"),
+    (["eseries", *NON, "--g", "5", "--mu", "(1)"],
+     "nonorientable surface needs r >= 1 only"),
+    (["count", *ORI, "--r", "9", *COUNT],
+     "orientable surface needs g >= 0 only"),
 ])
 def test_refusals_exit_2_before_output(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -522,10 +522,15 @@ def test_inexact_operands_refused():
      "one partition per alphabet required"),
     (lambda: SymFunc.one(1, 3).coefficient(((1, 2),)),
      "parts must be weakly decreasing"),
+    (lambda: SymFunc(2, 2, {((1,),): ONE}),
+     "one partition per alphabet required"),
+    (lambda: SymFunc(2, 2, {((3,), (1,)): ONE}),
+     r"key \(\(3,\), \(1,\)\) does not fit"),
 ], ids=["basis", "plethysm-r0", "log-constant-2", "log-constant-0",
         "bound-too-few", "bound-too-many", "element-too-few",
         "element-too-many", "from-basis-too-few", "parse-too-large",
-        "parse-too-many", "coefficient-not-a-partition"])
+        "parse-too-many", "coefficient-not-a-partition",
+        "constructor-too-few", "constructor-too-large"])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
